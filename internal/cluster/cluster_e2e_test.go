@@ -467,9 +467,7 @@ func TestGateFlightWaiterCancellation(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool {
-		g.flight.shard(key).mu.Lock()
-		_, inFlight := g.flight.shard(key).calls[key]
-		g.flight.shard(key).mu.Unlock()
+		_, inFlight := g.flight.Waiting(key)
 		return inFlight
 	}, "leader flight never appeared")
 
@@ -486,7 +484,10 @@ func TestGateFlightWaiterCancellation(t *testing.T) {
 		}
 		waiterDone <- err
 	}()
-	waitFor(t, func() bool { return g.flight.waiting(key) > 0 }, "waiter never parked")
+	waitFor(t, func() bool {
+		n, _ := g.flight.Waiting(key)
+		return n > 0
+	}, "waiter never parked")
 
 	cancel()
 	select {

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wroofline/internal/cas"
 	"wroofline/internal/serve"
 )
 
@@ -168,9 +169,13 @@ type Gate struct {
 	cfg      Config
 	backends []*backend
 	ring     *Ring
-	flight   *flightGroup
-	client   *http.Client
-	mux      *http.ServeMux
+	// flight is the cluster-wide singleflight: identical concurrent
+	// requests share one upstream fetch. Combined with hash routing this
+	// pins a thundering herd spread across gate clients to one upstream
+	// request, and so to exactly one evaluation cluster-wide.
+	flight *cas.Flight[*upstreamResult]
+	client *http.Client
+	mux    *http.ServeMux
 
 	// streamMu guards streams, the in-flight tee table for streaming
 	// requests (see stream.go).
@@ -207,7 +212,7 @@ func New(cfg Config) (*Gate, error) {
 	g := &Gate{
 		cfg:     cfg,
 		ring:    NewRing(urls),
-		flight:  newFlightGroup(cfg.Shards),
+		flight:  cas.NewFlight[*upstreamResult](cfg.Shards),
 		client:  cfg.Client,
 		mux:     http.NewServeMux(),
 		streams: make(map[serve.Key]*streamFlight),
@@ -334,7 +339,7 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request, keyFn func([]byte) 
 	}
 	key := keyFn(body)
 	ureq := newUpstreamRequest(r, body)
-	res, err, shared := g.flight.do(r.Context(), key, func() (*upstreamResult, error) {
+	res, err, shared := g.flight.Do(r.Context(), key, func() (*upstreamResult, error) {
 		return g.fetch(key, ureq)
 	})
 	if shared {

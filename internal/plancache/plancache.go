@@ -30,13 +30,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wroofline/internal/cas"
 	"wroofline/internal/sim"
 	"wroofline/internal/wfgen"
 )
 
 // Key is a content address: the SHA-256 of an artifact kind plus the
 // canonical evaluation identity.
-type Key = [sha256.Size]byte
+type Key = cas.Key
 
 // Scenario is one generated corpus scenario's construction output: the
 // workflow metadata and derived figures the corpus tables consume, plus the
@@ -144,93 +145,22 @@ type Stats struct {
 	Evictions uint64
 }
 
-// Cache is the sharded LRU. All methods are safe for concurrent use and
-// safe on a nil receiver — a nil *Cache is the disabled cache (every Get
-// misses without counting, every Put is dropped), so call sites thread one
-// pointer through unconditionally.
+// Cache is the sharded LRU (a cas.LRU) plus its counters. All methods are
+// safe for concurrent use and safe on a nil receiver — a nil *Cache is the
+// disabled cache (every Get misses without counting, every Put is dropped),
+// so call sites thread one pointer through unconditionally.
 type Cache struct {
-	mask   byte
-	shards []shard
+	lru *cas.LRU[any]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-// shard is one independently locked slice of the cache, an intrusive LRU
-// list plus its index. The trailing pad keeps neighbouring shards' mutexes
-// off the same cache line.
-type shard struct {
-	mu    sync.Mutex
-	cap   int
-	items map[Key]*entry
-	// head.next is most recently used; head.prev least. The sentinel makes
-	// every link operation branch-free.
-	head entry
-	_    [40]byte
-}
-
-// entry is one cache slot on its shard's intrusive ring.
-type entry struct {
-	key        Key
-	val        any
-	prev, next *entry
-}
-
-// shardCount normalizes a requested shard count exactly as the serve-layer
-// response cache does: clamp to [1, 256] (the selector is one key byte),
-// round up to a power of two, then halve until every shard owns at least
-// two entries so small caches keep strict global LRU order.
-func shardCount(capacity, requested int) int {
-	n := 1
-	for n < requested && n < 256 {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < 2 {
-		n >>= 1
-	}
-	return n
-}
-
 // New creates a cache holding up to entries values in total (minimum 1),
-// split across shardCount(entries, shards) shards.
+// split across up to shards shards (see cas.NewLRU for the normalization).
 func New(entries, shards int) *Cache {
-	if entries < 1 {
-		entries = 1
-	}
-	n := shardCount(entries, shards)
-	c := &Cache{mask: byte(n - 1), shards: make([]shard, n)}
-	base, rem := entries/n, entries%n
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.cap = base
-		if i < rem {
-			sh.cap++
-		}
-		sh.head.prev = &sh.head
-		sh.head.next = &sh.head
-		sh.items = make(map[Key]*entry)
-	}
-	return c
-}
-
-// shard maps a key to its home shard by the first SHA-256 byte.
-func (c *Cache) shard(k Key) *shard {
-	return &c.shards[k[0]&c.mask]
-}
-
-// unlink removes e from its ring.
-func unlink(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-}
-
-// pushFront inserts e as most recently used.
-func (sh *shard) pushFront(e *entry) {
-	e.prev = &sh.head
-	e.next = sh.head.next
-	e.next.prev = e
-	sh.head.next = e
+	return &Cache{lru: cas.NewLRU[any](entries, shards)}
 }
 
 // Get returns the cached artifact and marks it most recently used. A nil
@@ -239,53 +169,25 @@ func (c *Cache) Get(k Key) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	e, ok := sh.items[k]
+	v, ok := c.lru.Get(k)
 	if !ok {
-		sh.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
-	unlink(e)
-	sh.pushFront(e)
-	v := e.val
-	sh.mu.Unlock()
 	c.hits.Add(1)
 	return v, true
 }
 
 // Put stores an artifact, evicting the shard's least recently used entry
 // when the shard is full. Storing an existing key refreshes its recency and
-// keeps the incumbent value: equal keys address equal artifacts by
-// construction, so there is nothing to overwrite (and concurrent fillers
-// racing on one key converge on a single shared instance). A nil receiver
-// drops the value.
+// keeps the incumbent value (equal keys address equal artifacts). A nil
+// receiver drops the value.
 func (c *Cache) Put(k Key, v any) {
 	if c == nil {
 		return
 	}
-	sh := c.shard(k)
-	evicted := 0
-	sh.mu.Lock()
-	if e, ok := sh.items[k]; ok {
-		unlink(e)
-		sh.pushFront(e)
-		sh.mu.Unlock()
-		return
-	}
-	e := &entry{key: k, val: v}
-	sh.items[k] = e
-	sh.pushFront(e)
-	for len(sh.items) > sh.cap {
-		last := sh.head.prev
-		unlink(last)
-		delete(sh.items, last.key)
-		evicted++
-	}
-	sh.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
+	if n := c.lru.Put(k, v); n > 0 {
+		c.evictions.Add(uint64(n))
 	}
 }
 
@@ -294,14 +196,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	return c.lru.Len()
 }
 
 // Capacity reports the configured total capacity across shards.
@@ -309,11 +204,7 @@ func (c *Cache) Capacity() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].cap
-	}
-	return n
+	return c.lru.Capacity()
 }
 
 // Flush empties every shard. Counters are preserved; see Stats.
@@ -321,14 +212,7 @@ func (c *Cache) Flush() {
 	if c == nil {
 		return
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.head.prev = &sh.head
-		sh.head.next = &sh.head
-		clear(sh.items)
-		sh.mu.Unlock()
-	}
+	c.lru.Flush()
 }
 
 // Stats snapshots the counters. A nil receiver reports zeros.

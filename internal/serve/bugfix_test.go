@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -96,85 +95,6 @@ func TestConditionalListAndStar(t *testing.T) {
 
 // --- flight waiters honour client cancellation --------------------------
 
-// TestFlightWaiterCancellation pins the waiter-side contract: a waiter
-// whose context is cancelled mid-flight returns promptly with the context
-// error, while the leader's computation and result are unaffected.
-func TestFlightWaiterCancellation(t *testing.T) {
-	g := newFlightGroup(16)
-	key := ContentKey("t", []byte("cancel"))
-	started := make(chan struct{})
-	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err, shared := g.do(context.Background(), key, func() (Response, error) {
-			close(started)
-			<-release
-			return Response{Body: []byte("result")}, nil
-		})
-		if err != nil || shared || string(resp.Body) != "result" {
-			t.Errorf("leader: resp=%q err=%v shared=%v", resp.Body, err, shared)
-		}
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err, shared := g.do(ctx, key, func() (Response, error) {
-			t.Error("waiter ran the computation")
-			return Response{}, nil
-		})
-		if !shared {
-			t.Error("cancelled waiter reported shared=false")
-		}
-		waiterDone <- err
-	}()
-	for g.waiting(key) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-
-	cancel()
-	select {
-	case err := <-waiterDone:
-		if err != context.Canceled {
-			t.Errorf("cancelled waiter err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter still parked after 5s — cancellation ignored")
-	}
-	if n := g.waiting(key); n != 0 {
-		t.Errorf("waiting = %d after cancellation, want 0", n)
-	}
-
-	// A survivor joining after the cancellation still coalesces.
-	survivor := make(chan Response, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err, shared := g.do(context.Background(), key, func() (Response, error) {
-			t.Error("survivor ran the computation")
-			return Response{}, nil
-		})
-		if err != nil || !shared {
-			t.Errorf("survivor: err=%v shared=%v", err, shared)
-		}
-		survivor <- resp
-	}()
-	for g.waiting(key) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if got := string((<-survivor).Body); got != "result" {
-		t.Errorf("survivor result = %q, want leader's result", got)
-	}
-}
-
 // TestServeCancelledWaiterEndToEnd cancels a coalesced HTTP request
 // mid-flight: the waiter's connection must come back promptly (not after
 // the leader's full evaluation), and the leader's response and the cache
@@ -189,10 +109,7 @@ func TestServeCancelledWaiterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	inFlight := func() bool {
-		sh := s.flight.shard(key)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		_, ok := sh.calls[key]
+		_, ok := s.flight.Waiting(key)
 		return ok
 	}
 
@@ -221,7 +138,7 @@ func TestServeCancelledWaiterEndToEnd(t *testing.T) {
 		}
 		waiterDone <- err
 	}()
-	for s.flight.waiting(key) == 0 && inFlight() {
+	for n, ok := s.flight.Waiting(key); n == 0 && ok; n, ok = s.flight.Waiting(key) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"strconv"
 	"sync"
+
+	"wroofline/internal/cas"
 )
 
 // Key is a content address: the SHA-256 of an endpoint tag plus the
@@ -12,7 +13,7 @@ import (
 // deterministic (internal/sweep seeds per trial, internal/plot renders pure
 // functions of the model), equal keys imply byte-equal responses — a cached
 // body is indistinguishable from a recomputed one.
-type Key = [sha256.Size]byte
+type Key = cas.Key
 
 // keyScratch recycles the concatenation buffer behind ContentKey so the
 // hot path hashes without allocating.
@@ -23,23 +24,16 @@ var keyPool = sync.Pool{New: func() any { return &keyScratch{buf: make([]byte, 0
 
 // ContentKey hashes an endpoint kind and a canonical request body into a
 // cache key. The kind prefix keeps, say, a sweep spec and a model spec with
-// identical bytes from colliding. The digest is SHA-256 over
-// kind || 0x00 || canonical, assembled in a pooled buffer and hashed with
-// the one-shot Sum256 — zero heap allocations at steady state.
+// identical bytes from colliding.
 func ContentKey(kind string, canonical []byte) Key {
-	s := keyPool.Get().(*keyScratch)
-	b := append(s.buf[:0], kind...)
-	b = append(b, 0)
-	b = append(b, canonical...)
-	k := Key(sha256.Sum256(b))
-	s.buf = b[:0]
-	keyPool.Put(s)
-	return k
+	return contentKey(kind, canonical)
 }
 
-// contentKeyString is ContentKey for a string payload, skipping the []byte
-// conversion on hot GET paths.
-func contentKeyString(kind, canonical string) Key {
+// contentKey is ContentKey over either payload type, so hot GET paths hash
+// a string without converting it. The digest is SHA-256 over
+// kind || 0x00 || canonical, assembled in a pooled buffer and hashed with
+// the one-shot Sum256 — zero heap allocations at steady state.
+func contentKey[T string | []byte](kind string, canonical T) Key {
 	s := keyPool.Get().(*keyScratch)
 	b := append(s.buf[:0], kind...)
 	b = append(b, 0)
@@ -75,142 +69,4 @@ func (r *Response) stampHeaders() {
 	r.ctVals = []string{r.ContentType}
 	r.etagVals = []string{r.ETag}
 	r.clenVals = []string{r.clen}
-}
-
-// shardedLRU is a fixed-total-capacity LRU keyed by content address and
-// sharded by the first byte of the SHA-256 key: concurrent hits on distinct
-// keys land on distinct shards (power-of-two count) and never contend on a
-// shared mutex. Each shard owns its mutex, its slice of the total capacity,
-// and strict LRU order within the shard; len and flush iterate shards.
-type shardedLRU[V any] struct {
-	mask   byte
-	shards []lruShard[V]
-}
-
-// lruShard is one independently locked slice of the cache. The trailing pad
-// keeps neighbouring shards' mutexes off the same cache line.
-type lruShard[V any] struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[Key]*list.Element
-	_     [40]byte
-}
-
-// lruEntry is one cache slot.
-type lruEntry[V any] struct {
-	key Key
-	val V
-}
-
-// shardCount normalizes a requested shard count: clamp to [1, 256] (the
-// selector is one key byte), round up to a power of two, then halve until
-// every shard owns at least two entries — a cache smaller than twice the
-// shard count degenerates to fewer shards, and a tiny cache to exactly one,
-// which preserves strict global LRU order for small configurations.
-func shardCount(capacity, requested int) int {
-	n := 1
-	for n < requested && n < 256 {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < 2 {
-		n >>= 1
-	}
-	return n
-}
-
-// newShardedLRU creates a cache holding up to capacity values in total
-// (minimum 1), split across shardCount(capacity, shards) shards.
-func newShardedLRU[V any](capacity, shards int) *shardedLRU[V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	n := shardCount(capacity, shards)
-	c := &shardedLRU[V]{mask: byte(n - 1), shards: make([]lruShard[V], n)}
-	base, rem := capacity/n, capacity%n
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.cap = base
-		if i < rem {
-			sh.cap++
-		}
-		sh.order = list.New()
-		sh.items = make(map[Key]*list.Element)
-	}
-	return c
-}
-
-// shard maps a key to its home shard: the first byte of the SHA-256 masked
-// down to the power-of-two shard count. SHA-256 output is uniform, so keys
-// spread evenly.
-func (c *shardedLRU[V]) shard(k Key) *lruShard[V] {
-	return &c.shards[k[0]&c.mask]
-}
-
-// get returns the cached value and marks it most recently used in its shard.
-func (c *shardedLRU[V]) get(k Key) (V, bool) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	el, ok := sh.items[k]
-	if !ok {
-		sh.mu.Unlock()
-		var zero V
-		return zero, false
-	}
-	sh.order.MoveToFront(el)
-	v := el.Value.(*lruEntry[V]).val
-	sh.mu.Unlock()
-	return v, true
-}
-
-// put stores a value, evicting the shard's least recently used entry when
-// the shard is full. Storing an existing key refreshes its recency; the
-// value is identical by construction (same content address), so there is
-// nothing to overwrite.
-func (c *shardedLRU[V]) put(k Key, v V) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[k]; ok {
-		sh.order.MoveToFront(el)
-		return
-	}
-	sh.items[k] = sh.order.PushFront(&lruEntry[V]{key: k, val: v})
-	for sh.order.Len() > sh.cap {
-		last := sh.order.Back()
-		sh.order.Remove(last)
-		delete(sh.items, last.Value.(*lruEntry[V]).key)
-	}
-}
-
-// len reports the number of cached values across all shards.
-func (c *shardedLRU[V]) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// capacity reports the configured total capacity across shards.
-func (c *shardedLRU[V]) capacity() int {
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].cap
-	}
-	return n
-}
-
-// flush empties every shard (used by cold-path benchmarks and tests).
-func (c *shardedLRU[V]) flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.order.Init()
-		clear(sh.items)
-		sh.mu.Unlock()
-	}
 }

@@ -48,7 +48,7 @@ func SweepKey(body []byte) (Key, error) {
 
 // FigureKey returns the content address of a /v1/figures/{name} response.
 func FigureKey(name string) Key {
-	return contentKeyString("figure", name)
+	return contentKey("figure", name)
 }
 
 // HexKey renders a content address as lowercase hex (the peer API's wire

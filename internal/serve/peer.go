@@ -30,7 +30,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 		fail(w, badRequest("peer fill: %v", err))
 		return
 	}
-	resp, ok := s.cache.get(key)
+	resp, ok := s.cache.Get(key)
 	if !ok {
 		fail(w, &httpError{status: http.StatusNotFound,
 			msg: "no cached response for " + r.PathValue("key")})
@@ -77,6 +77,6 @@ func (s *Server) peerFill(r *http.Request, key Key) (Response, bool) {
 	}
 	resp.stampHeaders()
 	s.metrics.peerFills.Add(1)
-	s.cache.put(key, resp)
+	s.cache.Put(key, resp)
 	return resp, true
 }

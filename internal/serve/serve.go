@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"wroofline/internal/cas"
 	"wroofline/internal/core"
 	"wroofline/internal/failure"
 	"wroofline/internal/figures"
@@ -176,10 +177,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	cache   *shardedLRU[Response]
-	rawKeys *shardedLRU[Key]
+	cache   *cas.LRU[Response]
+	rawKeys *cas.LRU[Key]
 	plans   *plancache.Cache
-	flight  *flightGroup
+	flight  *cas.Flight[Response]
 	adm     *admission
 	metrics *metrics
 
@@ -208,12 +209,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
-		cache: newShardedLRU[Response](cfg.CacheEntries, cfg.Shards),
+		cache: cas.NewLRU[Response](cfg.CacheEntries, cfg.Shards),
 		// The raw memo holds 32-byte pointers into the response cache;
 		// several formattings of one spec may share a canonical entry, so
 		// it runs larger than the cache it fronts.
-		rawKeys: newShardedLRU[Key](4*cfg.CacheEntries, cfg.Shards),
-		flight:  newFlightGroup(cfg.Shards),
+		rawKeys: cas.NewLRU[Key](4*cfg.CacheEntries, cfg.Shards),
+		flight:  cas.NewFlight[Response](cfg.Shards),
 		adm:     newAdmission(cfg),
 		metrics: newMetrics("healthz", "metrics", "model", "sweep", "sweep_stream", "figures", "peer"),
 	}
@@ -265,7 +266,7 @@ func (s *Server) Evaluations() uint64 { return s.metrics.evaluations.Load() }
 
 // MetricsSnapshot returns the current counters (the /metrics payload).
 func (s *Server) MetricsSnapshot() Snapshot {
-	snap := s.metrics.snapshot(s.cache.len())
+	snap := s.metrics.snapshot(s.cache.Len())
 	if s.plans != nil {
 		st := s.plans.Stats()
 		snap.PlanCacheEntries = st.Entries
@@ -289,15 +290,15 @@ func (s *Server) PlanCacheStats() (stats plancache.Stats, enabled bool) {
 // tests use exactly this split — flush responses, re-request, and prove the
 // plan-cache-served evaluation re-renders the same bytes.
 func (s *Server) FlushCache() {
-	s.cache.flush()
-	s.rawKeys.flush()
+	s.cache.Flush()
+	s.rawKeys.Flush()
 }
 
 // CacheGeometry reports the effective response-cache layout after shard
 // normalization: total entry capacity and independently locked shard count.
 // The raw-request memo and the singleflight table use the same shard count.
 func (s *Server) CacheGeometry() (entries, shards int) {
-	return s.cache.capacity(), len(s.cache.shards)
+	return s.cache.Capacity(), s.cache.Shards()
 }
 
 // httpError carries a status code through the evaluation path; body, when
@@ -604,11 +605,11 @@ func fail(w http.ResponseWriter, err error) {
 // cached, serve it without parsing a byte of JSON. Reports whether it
 // served.
 func (s *Server) serveRawHit(w http.ResponseWriter, r *http.Request, rawKey Key) bool {
-	key, ok := s.rawKeys.get(rawKey)
+	key, ok := s.rawKeys.Get(rawKey)
 	if !ok {
 		return false
 	}
-	resp, ok := s.cache.get(key)
+	resp, ok := s.cache.Get(key)
 	if !ok {
 		return false
 	}
@@ -621,16 +622,16 @@ func (s *Server) serveRawHit(w http.ResponseWriter, r *http.Request, rawKey Key)
 // concurrent misses onto one evaluation, and fill the cache. compute runs
 // under the bounded queue with the per-request timeout already applied.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, compute func(ctx context.Context) (Response, error)) {
-	if resp, ok := s.cache.get(key); ok {
+	if resp, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		respond(w, r, resp, "hit")
 		return
 	}
 	disposition := "cold"
-	resp, err, shared := s.flight.do(r.Context(), key, func() (Response, error) {
+	resp, err, shared := s.flight.Do(r.Context(), key, func() (Response, error) {
 		// Re-check under the flight: a request that lost the race between
 		// its cache miss and its flight entry finds the winner's result.
-		if resp, ok := s.cache.get(key); ok {
+		if resp, ok := s.cache.Get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			return resp, nil
 		}
@@ -645,7 +646,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, co
 		if err != nil {
 			return Response{}, err
 		}
-		s.cache.put(key, resp)
+		s.cache.Put(key, resp)
 		return resp, nil
 	})
 	if shared {
@@ -824,7 +825,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := ContentKey("model", canonical)
-	s.rawKeys.put(rawKey, key)
+	s.rawKeys.Put(rawKey, key)
 	s.serveCached(w, r, key, func(ctx context.Context) (Response, error) {
 		return s.evaluateModel(req)
 	})
@@ -970,7 +971,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := ContentKey("sweep", canonical)
-	s.rawKeys.put(rawKey, key)
+	s.rawKeys.Put(rawKey, key)
 	s.serveCached(w, r, key, func(ctx context.Context) (Response, error) {
 		// The server owns the parallelism budget; results are identical at
 		// any worker count, so this never changes the bytes.
@@ -996,7 +997,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			msg: fmt.Sprintf("unknown figure %q (have %v)", name, s.figureNames)})
 		return
 	}
-	s.serveCached(w, r, contentKeyString("figure", name), func(ctx context.Context) (Response, error) {
+	s.serveCached(w, r, contentKey("figure", name), func(ctx context.Context) (Response, error) {
 		fig, err := figures.Render(name)
 		if err != nil {
 			return Response{}, err

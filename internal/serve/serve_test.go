@@ -2,12 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestContentKeyDistinguishesKinds(t *testing.T) {
@@ -17,129 +14,6 @@ func TestContentKeyDistinguishesKinds(t *testing.T) {
 	}
 	if ContentKey("model", body) != ContentKey("model", body) {
 		t.Error("content keys must be deterministic")
-	}
-}
-
-// The strict-LRU tests pin shards to 1: a single shard is exact global LRU,
-// which is also what shardCount degenerates to for tiny capacities.
-func TestLRUEvictsOldest(t *testing.T) {
-	c := newShardedLRU[Response](2, 1)
-	keys := make([]Key, 3)
-	for i := range keys {
-		keys[i] = ContentKey("t", []byte{byte(i)})
-		c.put(keys[i], Response{Body: []byte{byte(i)}})
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	if _, ok := c.get(keys[0]); ok {
-		t.Error("oldest entry should have been evicted")
-	}
-	for _, k := range keys[1:] {
-		if _, ok := c.get(k); !ok {
-			t.Errorf("key %x missing", k[:4])
-		}
-	}
-}
-
-func TestLRUGetRefreshesRecency(t *testing.T) {
-	c := newShardedLRU[Response](2, 1)
-	a := ContentKey("t", []byte("a"))
-	b := ContentKey("t", []byte("b"))
-	x := ContentKey("t", []byte("x"))
-	c.put(a, Response{Body: []byte("a")})
-	c.put(b, Response{Body: []byte("b")})
-	c.get(a) // a is now most recent; x should evict b
-	c.put(x, Response{Body: []byte("x")})
-	if _, ok := c.get(a); !ok {
-		t.Error("recently used entry evicted")
-	}
-	if _, ok := c.get(b); ok {
-		t.Error("least recently used entry survived")
-	}
-}
-
-func TestLRUFlush(t *testing.T) {
-	c := newShardedLRU[Response](4, 1)
-	c.put(ContentKey("t", []byte("a")), Response{Body: []byte("a")})
-	c.flush()
-	if c.len() != 0 {
-		t.Errorf("len after flush = %d", c.len())
-	}
-	if _, ok := c.get(ContentKey("t", []byte("a"))); ok {
-		t.Error("flushed entry still retrievable")
-	}
-}
-
-func TestFlightCoalesces(t *testing.T) {
-	g := newFlightGroup(16)
-	key := ContentKey("t", []byte("k"))
-	var evals int
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	leaderDone := make(chan Response, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err, shared := g.do(context.Background(), key, func() (Response, error) {
-			evals++
-			close(started)
-			<-release
-			return Response{Body: []byte("result")}, nil
-		})
-		if err != nil || shared {
-			t.Errorf("leader: err=%v shared=%v", err, shared)
-		}
-		leaderDone <- resp
-	}()
-	<-started
-	const followers = 16
-	results := make(chan Response, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err, shared := g.do(context.Background(), key, func() (Response, error) {
-				t.Error("follower ran the computation")
-				return Response{}, nil
-			})
-			if err != nil || !shared {
-				t.Errorf("follower: err=%v shared=%v", err, shared)
-			}
-			results <- resp
-		}()
-	}
-	// Hold the leader until every follower has parked on the in-flight call;
-	// releasing earlier would let stragglers miss the flight entirely.
-	for g.waiting(key) < followers {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	want := string((<-leaderDone).Body)
-	for i := 0; i < followers; i++ {
-		if got := string((<-results).Body); got != want {
-			t.Errorf("follower result %q != leader %q", got, want)
-		}
-	}
-	if evals != 1 {
-		t.Errorf("evaluations = %d, want 1", evals)
-	}
-}
-
-func TestFlightSharesErrors(t *testing.T) {
-	g := newFlightGroup(16)
-	key := ContentKey("t", []byte("err"))
-	wantErr := fmt.Errorf("boom")
-	_, err, _ := g.do(context.Background(), key, func() (Response, error) { return Response{}, wantErr })
-	if err != wantErr {
-		t.Errorf("err = %v", err)
-	}
-	// The failed call must not wedge the key: a retry runs fresh.
-	resp, err, shared := g.do(context.Background(), key, func() (Response, error) { return Response{Body: []byte("ok")}, nil })
-	if err != nil || shared || string(resp.Body) != "ok" {
-		t.Errorf("retry after error: resp=%q err=%v shared=%v", resp.Body, err, shared)
 	}
 }
 

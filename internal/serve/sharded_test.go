@@ -1,201 +1,29 @@
 package serve
 
 import (
-	"context"
 	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-// testKey derives a deterministic content key from an integer.
-func testKey(i uint64) Key {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], i)
-	return ContentKey("t", b[:])
-}
-
-// TestShardCountNormalization pins the shard-geometry rules: power of two,
-// clamped to [1, 256], degraded until every shard holds at least two
-// entries, and exactly one shard for tiny caches (strict global LRU).
-func TestShardCountNormalization(t *testing.T) {
-	cases := []struct {
-		capacity, requested, want int
-	}{
-		{512, 16, 16},
-		{512, 12, 16},    // round up to a power of two
-		{512, 1000, 256}, // clamp to one key byte
-		{512, 0, 1},
-		{32, 16, 16},
-		{16, 16, 8}, // halve until >= 2 entries per shard
-		{2, 16, 1},  // tiny cache: one shard, exact LRU
-		{1, 16, 1},
-		{3, 2, 1},
-		{4, 2, 2},
-	}
-	for _, tc := range cases {
-		if got := shardCount(tc.capacity, tc.requested); got != tc.want {
-			t.Errorf("shardCount(%d, %d) = %d, want %d", tc.capacity, tc.requested, got, tc.want)
-		}
-	}
-}
-
-// TestShardedCapacityPreserved checks that the per-shard capacities sum to
-// exactly the configured total for a spread of geometries.
-func TestShardedCapacityPreserved(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 5, 16, 17, 100, 512, 513} {
-		for _, shards := range []int{1, 2, 4, 16, 64, 256} {
-			c := newShardedLRU[Response](capacity, shards)
-			if got := c.capacity(); got != capacity {
-				t.Errorf("capacity(%d, %d shards): shards sum to %d", capacity, shards, got)
-			}
-		}
-	}
-}
-
-// TestShardedProperties drives the three testing/quick invariants the issue
-// pins: total entries never exceed configured capacity, the same key always
-// maps to the same shard, and put-then-get round-trips the value.
-func TestShardedProperties(t *testing.T) {
-	t.Run("entries never exceed capacity", func(t *testing.T) {
-		prop := func(capRaw uint8, shardsRaw uint8, ops []uint16) bool {
-			capacity := int(capRaw%64) + 1
-			c := newShardedLRU[Response](capacity, int(shardsRaw%32)+1)
-			for _, op := range ops {
-				c.put(testKey(uint64(op%256)), Response{Body: []byte{byte(op)}})
-				if c.len() > capacity {
-					return false
-				}
-			}
-			return c.len() <= capacity
-		}
-		if err := quick.Check(prop, nil); err != nil {
-			t.Error(err)
-		}
-	})
-	t.Run("same key maps to same shard", func(t *testing.T) {
-		c := newShardedLRU[Response](512, 16)
-		prop := func(i uint64) bool {
-			k := testKey(i)
-			return c.shard(k) == c.shard(k) && c.shard(k) == &c.shards[k[0]&c.mask]
-		}
-		if err := quick.Check(prop, nil); err != nil {
-			t.Error(err)
-		}
-	})
-	t.Run("put then get round-trips", func(t *testing.T) {
-		c := newShardedLRU[Response](512, 16)
-		prop := func(i uint64, body []byte) bool {
-			k := testKey(i)
-			c.put(k, Response{Body: body, ContentType: "t"})
-			got, ok := c.get(k)
-			return ok && string(got.Body) == string(body) && got.ContentType == "t"
-		}
-		if err := quick.Check(prop, nil); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 // TestShardedSpread sanity-checks that sequential content keys actually
-// land on more than one shard (SHA-256 first bytes are uniform).
+// land on every shard of the server's response cache (SHA-256 first bytes
+// are uniform, and the cache selects shards by the first key byte).
 func TestShardedSpread(t *testing.T) {
-	c := newShardedLRU[Response](512, 16)
+	s := New(Config{CacheEntries: 512, Shards: 16})
+	_, shards := s.CacheGeometry()
+	if shards != 16 {
+		t.Fatalf("shards = %d, want 16", shards)
+	}
 	seen := map[byte]bool{}
 	for i := uint64(0); i < 256; i++ {
-		k := testKey(i)
-		seen[k[0]&c.mask] = true
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], i)
+		k := ContentKey("t", b[:])
+		seen[k[0]&byte(shards-1)] = true
 	}
-	if len(seen) != 16 {
-		t.Errorf("256 keys touched %d/16 shards", len(seen))
-	}
-}
-
-// TestShardedStress hammers get/put/flush/len across every shard from many
-// goroutines; run under -race this is the concurrency proof for the sharded
-// cache. The capacity invariant is re-checked after the storm.
-func TestShardedStress(t *testing.T) {
-	const (
-		capacity   = 128
-		goroutines = 16
-		keys       = 512
-	)
-	c := newShardedLRU[Response](capacity, 16)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := testKey(uint64(rng.Intn(keys)))
-				switch i % 8 {
-				case 0:
-					c.put(k, Response{Body: []byte(fmt.Sprintf("v%d", g))})
-				case 5:
-					if c.len() > capacity {
-						t.Errorf("len %d exceeds capacity %d", c.len(), capacity)
-						return
-					}
-				case 7:
-					if g == 0 && i%1024 == 7 {
-						c.flush()
-					}
-				default:
-					c.get(k)
-				}
-			}
-		}(g)
-	}
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if c.len() > capacity {
-		t.Errorf("post-stress len %d exceeds capacity %d", c.len(), capacity)
-	}
-}
-
-// TestFlightShardedStress coalesces concurrent work across many keys and
-// shards at once; each key's computation must run while racing flights on
-// other keys proceed independently.
-func TestFlightShardedStress(t *testing.T) {
-	g := newFlightGroup(16)
-	const keys = 64
-	var evals [keys]int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for round := 0; round < 4; round++ {
-		for i := 0; i < keys; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				k := testKey(uint64(i))
-				resp, err, _ := g.do(context.Background(), k, func() (Response, error) {
-					mu.Lock()
-					evals[i]++
-					mu.Unlock()
-					return Response{Body: []byte{byte(i)}}, nil
-				})
-				if err != nil || len(resp.Body) != 1 || resp.Body[0] != byte(i) {
-					t.Errorf("key %d: resp=%v err=%v", i, resp.Body, err)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	for i, n := range evals {
-		if n == 0 || n > 4 {
-			t.Errorf("key %d evaluated %d times over 4 rounds", i, n)
-		}
+	if len(seen) != shards {
+		t.Errorf("256 keys touched %d/%d shards", len(seen), shards)
 	}
 }
 
@@ -211,16 +39,16 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	body := []byte(`{"case":"example"}`)
 	canonicalKey := ContentKey("model", body)
 	rawKey := ContentKey("raw-model", body)
-	s.rawKeys.put(rawKey, canonicalKey)
-	s.cache.put(canonicalKey, Response{Body: []byte("resp"), ContentType: "application/json", clen: "4"})
+	s.rawKeys.Put(rawKey, canonicalKey)
+	s.cache.Put(canonicalKey, Response{Body: []byte("resp"), ContentType: "application/json", clen: "4"})
 	st := s.metrics.endpoint("model")
 	allocs := testing.AllocsPerRun(1000, func() {
 		rk := ContentKey("raw-model", body)
-		key, ok := s.rawKeys.get(rk)
+		key, ok := s.rawKeys.Get(rk)
 		if !ok {
 			t.Fatal("raw memo miss")
 		}
-		if _, ok := s.cache.get(key); !ok {
+		if _, ok := s.cache.Get(key); !ok {
 			t.Fatal("cache miss")
 		}
 		s.metrics.cacheHits.Add(1)

@@ -1,6 +1,6 @@
 // Streaming sweep delivery: the /v1/sweep/stream endpoint (also reachable
 // via Accept negotiation on /v1/sweep) runs ensemble studies through
-// study.RunStream and pushes partial aggregates to the client as the
+// study.RunStreamCached and pushes partial aggregates to the client as the
 // completed-trial frontier advances, instead of buffering the whole
 // response. Time-to-first-result becomes one chunk of trials rather than
 // the full sweep, and peak response memory is O(event), not O(trials).
@@ -58,8 +58,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	rawKey := ContentKey("raw-sweep", body)
 	// The raw-memo fast path mirrors the buffered endpoint: a cached final
 	// is streamed as a single result event with zero parsing.
-	if key, ok := s.rawKeys.get(rawKey); ok {
-		if resp, ok := s.cache.get(key); ok {
+	if key, ok := s.rawKeys.Get(rawKey); ok {
+		if resp, ok := s.cache.Get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			s.streamCached(w, resp, sse)
 			return
@@ -76,8 +76,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := ContentKey("sweep", canonical)
-	s.rawKeys.put(rawKey, key)
-	if resp, ok := s.cache.get(key); ok {
+	s.rawKeys.Put(rawKey, key)
+	if resp, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		s.streamCached(w, resp, sse)
 		return
@@ -113,7 +113,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	spec.Workers = s.cfg.Workers
 	// Progress callbacks arrive on sweep worker goroutines, serialized by
 	// the completion-frontier lock; the handler goroutine blocks inside
-	// RunStream until they are done, so writes to the ResponseWriter never
+	// RunStreamCached until they are done, so writes to the ResponseWriter never
 	// interleave.
 	tables, err := study.RunStreamCached(ctx, spec, s.plans, func(p study.Progress) {
 		enc.progress(p)
@@ -134,7 +134,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	resp := Response{Body: append(data, '\n'), ContentType: "application/json"}
 	resp.ETag = etagOf(resp.Body)
 	resp.stampHeaders()
-	s.cache.put(key, resp)
+	s.cache.Put(key, resp)
 	enc.result(resp.Body)
 	s.metrics.streams.Add(1)
 }

@@ -21,28 +21,26 @@ type Progress struct {
 	Summary sweep.Summary `json:"summary"`
 }
 
-// RunStream executes the spec like Run and additionally invokes emit with
-// partial makespan summaries as the completed-trial frontier advances.
+// RunStreamCached executes the spec like Run and additionally invokes emit
+// with partial makespan summaries as the completed-trial frontier advances.
 // Emission is throttled to at most ~64 snapshots per run, calls are serial
 // with strictly increasing Done, and Done < Total always holds — the final
 // aggregate is the returned tables, byte-identical to Run's, not a progress
 // event. Only the ensemble kinds (montecarlo, failures, corpus) stream;
-// grid and survey produce their tables with no intermediate snapshots.
+// grid and survey produce their tables with no intermediate snapshots. A
+// nil emit streams nothing.
 //
 // emit runs on a sweep worker goroutine while the completion frontier is
 // locked: it must be brief and must not call back into the study.
-func RunStream(ctx context.Context, spec *Spec, emit func(Progress)) ([]*report.Table, error) {
-	return RunStreamCached(ctx, spec, nil, emit)
-}
-
-// RunStreamCached is RunStream with a second-level plan cache: the ensemble
-// kinds consult plans for their expensive construction artifacts (compiled
-// case plans, generated corpus scenarios) before generating, building, and
-// compiling afresh, and fill it on miss. Because compiled plans are
-// immutable and concurrent-safe and construction is a pure function of the
-// cache key, a hit evaluation is bit-identical to a cold one at any
-// worker x batch geometry — TestPlanCacheDifferential proves it. A nil
-// cache disables reuse entirely (the pre-cache behavior).
+//
+// plans is the second-level plan cache: the ensemble kinds consult it for
+// their expensive construction artifacts (compiled case plans, generated
+// corpus scenarios) before generating, building, and compiling afresh, and
+// fill it on miss. Because compiled plans are immutable and concurrent-safe
+// and construction is a pure function of the cache key, a hit evaluation is
+// bit-identical to a cold one at any worker x batch geometry —
+// TestPlanCacheDifferential proves it. A nil cache disables reuse entirely
+// (the pre-cache behavior).
 func RunStreamCached(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	switch spec.Kind {
 	case "montecarlo":

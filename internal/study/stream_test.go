@@ -36,7 +36,7 @@ func streamSpecs() map[string]*Spec {
 }
 
 // TestRunStreamDifferential is the byte-identity contract behind streaming
-// delivery: for every ensemble kind, RunStream's final tables render to
+// delivery: for every ensemble kind, RunStreamCached's final tables render to
 // exactly the bytes Run produces, and the progress snapshots are strictly
 // increasing prefixes that never reach the total (the final aggregate is
 // the tables, not an event).
@@ -48,7 +48,7 @@ func TestRunStreamDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			var events []Progress
-			got, err := RunStream(context.Background(), spec, func(p Progress) {
+			got, err := RunStreamCached(context.Background(), spec, nil, func(p Progress) {
 				events = append(events, p)
 			})
 			if err != nil {
@@ -94,7 +94,7 @@ func TestRunStreamPrefixDeterminism(t *testing.T) {
 		spec := streamSpecs()["montecarlo"]
 		spec.Workers, spec.Batch = workers, batch
 		byDone := map[int]Progress{}
-		if _, err := RunStream(context.Background(), spec, func(p Progress) {
+		if _, err := RunStreamCached(context.Background(), spec, nil, func(p Progress) {
 			byDone[p.Done] = p
 		}); err != nil {
 			t.Fatal(err)
@@ -120,13 +120,13 @@ func TestRunStreamPrefixDeterminism(t *testing.T) {
 }
 
 // TestRunStreamNonEnsembleKinds checks grid and survey run through
-// RunStream without emitting (they have no trial frontier) and unknown
+// RunStreamCached without emitting (they have no trial frontier) and unknown
 // kinds still fail.
 func TestRunStreamNonEnsembleKinds(t *testing.T) {
 	spec := &Spec{Kind: "grid", Case: "lcls-cori", P: 0.5,
 		WallFactors: []float64{1, 2}}
 	calls := 0
-	tables, err := RunStream(context.Background(), spec, func(Progress) { calls++ })
+	tables, err := RunStreamCached(context.Background(), spec, nil, func(Progress) { calls++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunStreamNonEnsembleKinds(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("grid emitted %d progress events, want 0", calls)
 	}
-	if _, err := RunStream(context.Background(), &Spec{Kind: "quantum"}, nil); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "quantum"}, nil, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }

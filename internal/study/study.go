@@ -152,9 +152,9 @@ func (s *Spec) Canonical() ([]byte, error) {
 }
 
 // Run executes the spec and returns the report tables in print order. It is
-// RunStream without progress snapshots — both paths share one runner per
-// kind, which is what keeps streamed final results byte-identical to
-// buffered ones.
+// RunStreamCached without a plan cache or progress snapshots — both paths
+// share one runner per kind, which is what keeps streamed final results
+// byte-identical to buffered ones.
 func Run(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	return RunStreamCached(ctx, spec, nil, nil)
 }
@@ -221,7 +221,7 @@ func (s *SamplerSpec) sampler() (contention.Sampler, error) {
 // runMonteCarlo fans the day trials over the pool: each trial draws a
 // per-stream rate and simulates the case study with the external path set to
 // Streams flows at that rate. A non-nil emit receives throttled partial
-// summaries as the day frontier advances (see RunStream).
+// summaries as the day frontier advances (see RunStreamCached).
 func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("montecarlo spec needs positive trials, got %d", spec.Trials)

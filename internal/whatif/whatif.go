@@ -206,15 +206,10 @@ type SweepPoint struct {
 	Limiting string
 }
 
-// SweepResource evaluates the bound at p while scaling a resource's peak
-// through the given factors — the series behind "changing system or node
-// bandwidths shifts the ceilings". Serial wrapper over SweepResourceEnsemble.
-func SweepResource(m *core.Model, p float64, res core.Resource, factors []float64) ([]SweepPoint, error) {
-	return SweepResourceEnsemble(context.Background(), m, p, res, factors, 1)
-}
-
-// SweepResourceEnsemble fans the factor series across the sweep pool; points
-// come back in factor order at any worker count.
+// SweepResourceEnsemble evaluates the bound at p while scaling a resource's
+// peak through the given factors — the series behind "changing system or
+// node bandwidths shifts the ceilings". The factor series fans across the
+// sweep pool; points come back in factor order at any worker count.
 func SweepResourceEnsemble(ctx context.Context, m *core.Model, p float64, res core.Resource, factors []float64, workers int) ([]SweepPoint, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("whatif: no sweep factors")

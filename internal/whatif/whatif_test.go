@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -200,7 +201,7 @@ func TestSweepResource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepResource(cs.Model, 5, core.ResExternal, []float64{1, 2, 4, 100, 1000})
+	points, err := SweepResourceEnsemble(context.Background(), cs.Model, 5, core.ResExternal, []float64{1, 2, 4, 100, 1000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSweepResource(t *testing.T) {
 	if !strings.Contains(last.Limiting, "Internal") {
 		t.Errorf("at 1000x external the burst buffer should bind, got %q", last.Limiting)
 	}
-	if _, err := SweepResource(cs.Model, 5, core.ResExternal, nil); err == nil {
+	if _, err := SweepResourceEnsemble(context.Background(), cs.Model, 5, core.ResExternal, nil, 1); err == nil {
 		t.Error("empty sweep should fail")
 	}
 }

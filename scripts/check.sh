@@ -56,9 +56,12 @@ else
 fi
 
 # The serve-layer bugfix regressions (If-None-Match list matching, flight
-# waiter cancellation, recorder panic recycling) ride the same wall.
+# waiter cancellation, recorder panic recycling) ride the same wall. The
+# flight waiter unit tests live with the shared singleflight in
+# internal/cas, so that package runs here too.
 echo "== serve bugfix wall (race) =="
-if go test -race ./internal/serve -run 'TestETagMatch|TestConditional|TestFlightWaiter|TestServeCancelled|TestInstrument|TestRecorder|TestPeerFill' -count=1; then
+if go test -race ./internal/serve -run 'TestETagMatch|TestConditional|TestFlightWaiter|TestServeCancelled|TestInstrument|TestRecorder|TestPeerFill' -count=1 &&
+   go test -race ./internal/cas -count=1; then
     echo "ok"
 else
     fail=1
@@ -84,12 +87,24 @@ fi
 # second-level evaluation cache: cached-plan and fresh-compile evaluations
 # must be byte-identical (bodies and ETags) for every ensemble kind and
 # /v1/model, at any worker x batch geometry, and the LRU must respect its
-# capacity under random geometries. Named so a failure is attributed
+# capacity under random geometries (the LRU property tests live with the
+# shared cache in internal/cas). Named so a failure is attributed
 # immediately.
 echo "== plan cache differential wall (race) =="
-if go test -race ./internal/plancache -count=1 &&
+if go test -race ./internal/cas -count=1 &&
+   go test -race ./internal/plancache -count=1 &&
    go test -race ./internal/study -run 'TestPlanCache' -count=1 &&
    go test -race ./internal/serve -run 'TestPlanCache' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
+# wfbench is its own Go module, so the root go test ./... never compiles
+# it: an API break in plancache/serve/study/cluster would otherwise pass
+# unnoticed until the benchmark runs.
+echo "== benchmark module (vet + test) =="
+if go vet -C wfbench ./... && go test -C wfbench ./...; then
     echo "ok"
 else
     fail=1
