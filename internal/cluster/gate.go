@@ -95,6 +95,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// routeMemoEntries is the routing memo's fixed capacity (the replica's
+// default raw-body memo size).
+const routeMemoEntries = 2048
+
+// maxPresizedBody caps the buffer a Content-Length header alone can make
+// the gate allocate up front; longer or unsized bodies are read
+// incrementally.
+const maxPresizedBody = 4 << 20
+
 // backend is one replica's live state.
 type backend struct {
 	url string
@@ -106,6 +115,9 @@ type backend struct {
 	probeFails atomic.Int32
 	// requests counts successfully proxied requests (the skew numerator).
 	requests atomic.Uint64
+	// xBackend is the X-Backend header value naming this replica, built
+	// once so every proxied response shares it.
+	xBackend []string
 }
 
 // upstreamRequest is everything the gate forwards upstream: the routed
@@ -153,14 +165,50 @@ func (u *upstreamRequest) apply(req *http.Request) {
 }
 
 // upstreamResult is one fetched response, shared across a flight's riders.
+// Its replayed headers are stamped once per fetch (the pattern of
+// serve.Response.stampHeaders), so each rider's writeResult assigns
+// prebuilt value slices instead of canonicalizing keys and allocating.
 type upstreamResult struct {
-	status     int
-	ctype      string
-	etag       string
-	xcache     string
-	retryAfter string
-	backend    string
-	body       []byte
+	status  int
+	etag    string
+	body    []byte
+	backend *backend
+	// header holds the first nheader replayed upstream headers, in
+	// canonical form; clen is the body's Content-Length value.
+	header  [len(replayedHeaders)]headerValue
+	nheader int
+	clen    []string
+}
+
+// headerValue is one stamped response header.
+type headerValue struct {
+	key  string
+	vals []string
+}
+
+// replayedHeaders are the upstream response headers the gate passes
+// through, canonical keys: a shed replica's Retry-After is the client's
+// backoff hint, so 503 + Retry-After survives the hop.
+var replayedHeaders = [...]string{"Content-Type", "Etag", "X-Cache", "Retry-After"}
+
+// newUpstreamResult wraps a fetched response's status and body and stamps
+// its replayed headers. The value slices share one backing array and are
+// capped at length one, so an append by any writer copies instead of
+// clobbering a neighbour.
+func newUpstreamResult(resp *http.Response, body []byte) *upstreamResult {
+	res := &upstreamResult{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}
+	vals := make([]string, len(replayedHeaders)+1)
+	for i, k := range replayedHeaders {
+		if v := resp.Header.Get(k); v != "" {
+			vals[i] = v
+			res.header[res.nheader] = headerValue{k, vals[i : i+1 : i+1]}
+			res.nheader++
+		}
+	}
+	n := len(replayedHeaders)
+	vals[n] = strconv.Itoa(len(body))
+	res.clen = vals[n : n+1 : n+1]
+	return res
 }
 
 // Gate is the cluster router. Create with New, mount via Handler, start
@@ -174,6 +222,9 @@ type Gate struct {
 	// pins a thundering herd spread across gate clients to one upstream
 	// request, and so to exactly one evaluation cluster-wide.
 	flight *cas.Flight[*upstreamResult]
+	// routes memoizes raw request body → routing key (see routeKey). It
+	// holds keys only, never response bodies, at a fixed capacity.
+	routes *cas.LRU[serve.Key]
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -213,6 +264,7 @@ func New(cfg Config) (*Gate, error) {
 		cfg:     cfg,
 		ring:    NewRing(urls),
 		flight:  cas.NewFlight[*upstreamResult](cfg.Shards),
+		routes:  cas.NewLRU[serve.Key](routeMemoEntries, cfg.Shards),
 		client:  cfg.Client,
 		mux:     http.NewServeMux(),
 		streams: make(map[serve.Key]*streamFlight),
@@ -222,24 +274,26 @@ func New(cfg Config) (*Gate, error) {
 	}
 	g.backends = make([]*backend, len(urls))
 	for i, u := range urls {
-		g.backends[i] = &backend{url: u}
+		g.backends[i] = &backend{url: u, xBackend: []string{u}}
 		g.backends[i].up.Store(true)
 	}
+	modelKey := g.routeKey("route-model", serve.ModelKey)
+	sweepKey := g.routeKey("route-sweep", serve.SweepKey)
 	g.mux.HandleFunc("POST /v1/model", func(w http.ResponseWriter, r *http.Request) {
-		g.proxy(w, r, keyOrRaw(serve.ModelKey))
+		g.proxy(w, r, modelKey)
 	})
 	g.mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		// The same Accept negotiation the replica applies: a streaming
 		// client must tee through the stream path, or the gate would
 		// buffer the replica's progressive response back into one blob.
 		if acceptsStream(r) {
-			g.streamProxy(w, r, keyOrRaw(serve.SweepKey))
+			g.streamProxy(w, r, sweepKey)
 			return
 		}
-		g.proxy(w, r, keyOrRaw(serve.SweepKey))
+		g.proxy(w, r, sweepKey)
 	})
 	g.mux.HandleFunc("POST /v1/sweep/stream", func(w http.ResponseWriter, r *http.Request) {
-		g.streamProxy(w, r, keyOrRaw(serve.SweepKey))
+		g.streamProxy(w, r, sweepKey)
 	})
 	g.mux.HandleFunc("GET /v1/figures/{name}", func(w http.ResponseWriter, r *http.Request) {
 		g.proxy(w, r, func([]byte) serve.Key { return serve.FigureKey(r.PathValue("name")) })
@@ -249,15 +303,25 @@ func New(cfg Config) (*Gate, error) {
 	return g, nil
 }
 
-// keyOrRaw adapts a canonicalizing key function: a body the canonicalizer
+// routeKey adapts a canonicalizing key function into a routing-key
+// function memoized on the raw body: kind tags the endpoint, and a
+// byte-identical repeat of a body skips JSON canonicalization (the gate's
+// counterpart of the replica's rawKeys memo). A body the canonicalizer
 // rejects is still routed (and coalesced) deterministically by its raw
-// hash, so the owning replica renders the 400 exactly once per herd.
-func keyOrRaw(keyFn func([]byte) (serve.Key, error)) func([]byte) serve.Key {
+// hash, so the owning replica renders the 400 exactly once per herd; that
+// fallback is memoized too.
+func (g *Gate) routeKey(kind string, keyFn func([]byte) (serve.Key, error)) func([]byte) serve.Key {
 	return func(body []byte) serve.Key {
-		if k, err := keyFn(body); err == nil {
+		raw := serve.ContentKey(kind, body)
+		if k, ok := g.routes.Get(raw); ok {
 			return k
 		}
-		return serve.ContentKey("raw-route", body)
+		k, err := keyFn(body)
+		if err != nil {
+			k = serve.ContentKey("raw-route", body)
+		}
+		g.routes.Put(raw, k)
+		return k
 	}
 }
 
@@ -363,7 +427,15 @@ func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Body == nil {
 		return nil, true
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	var (
+		body []byte
+		err  error
+	)
+	if n := r.ContentLength; n >= 0 && n <= g.cfg.MaxBodyBytes {
+		body, err = readExact(r.Body, n)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	}
 	if err != nil {
 		writeProblem(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return nil, false
@@ -410,7 +482,7 @@ func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, err
 			g.rerouted.Add(1)
 		}
 		b.requests.Add(1)
-		res.backend = b.url
+		res.backend = b
 		return res, nil
 	}
 	return nil, fmt.Errorf("all %d backends unreachable", len(g.backends))
@@ -444,39 +516,55 @@ func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, ownerURL string) (*u
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readUpstream(resp)
 	if err != nil {
 		return nil, err
 	}
-	return &upstreamResult{
-		status:     resp.StatusCode,
-		ctype:      resp.Header.Get("Content-Type"),
-		etag:       resp.Header.Get("ETag"),
-		xcache:     resp.Header.Get("X-Cache"),
-		retryAfter: resp.Header.Get("Retry-After"),
-		body:       data,
-	}, nil
+	return newUpstreamResult(resp, data), nil
+}
+
+// readUpstream buffers an upstream response body. A declared length up to
+// maxPresizedBody is read into one exactly sized buffer; an unknown or
+// larger one grows incrementally. A body that ends short of its declared
+// length, or runs past it, is an error — the caller treats it like any
+// other transport failure, so a truncated body is never served.
+func readUpstream(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n >= 0 && n <= maxPresizedBody {
+		return readExact(resp.Body, n)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err == nil && n >= 0 && int64(len(data)) != n {
+		err = fmt.Errorf("body is %d bytes, declared %d", len(data), n)
+	}
+	return data, err
+}
+
+// readExact reads a body of declared length n into one buffer of exactly
+// that size. Ending short of n, or running past it, is an error.
+func readExact(rd io.Reader, n int64) ([]byte, error) {
+	// One spare byte of capacity lets the end-of-body probe read without a
+	// second allocation.
+	buf := make([]byte, n, n+1)
+	if _, err := io.ReadFull(rd, buf); err != nil {
+		return nil, err
+	}
+	// The probe's error is dropped: every declared byte has arrived, so
+	// only a byte past the end makes the body wrong.
+	if extra, _ := rd.Read(buf[n : n+1]); extra > 0 {
+		return nil, fmt.Errorf("body runs past its declared %d bytes", n)
+	}
+	return buf, nil
 }
 
 // writeResult renders a shared upstream result to one client, applying
 // that client's conditional headers against the shared validator.
 func (g *Gate) writeResult(w http.ResponseWriter, r *http.Request, res *upstreamResult) {
 	h := w.Header()
-	if res.ctype != "" {
-		h.Set("Content-Type", res.ctype)
+	for _, f := range res.header[:res.nheader] {
+		h[f.key] = f.vals
 	}
-	if res.etag != "" {
-		h.Set("ETag", res.etag)
-	}
-	if res.xcache != "" {
-		h.Set("X-Cache", res.xcache)
-	}
-	if res.retryAfter != "" {
-		// A shed replica's backoff hint is for the client, not the gate:
-		// pass it through so 503 + Retry-After survives the hop.
-		h.Set("Retry-After", res.retryAfter)
-	}
-	h.Set("X-Backend", res.backend)
+	h["X-Backend"] = res.backend.xBackend
 	if res.status == http.StatusOK && res.etag != "" {
 		if match := r.Header.Get("If-None-Match"); match != "" && serve.ETagMatch(match, res.etag) {
 			g.notModified.Add(1)
@@ -484,7 +572,7 @@ func (g *Gate) writeResult(w http.ResponseWriter, r *http.Request, res *upstream
 			return
 		}
 	}
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	h["Content-Length"] = res.clen
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }

@@ -13,7 +13,9 @@ import (
 // whenever the contiguous prefix of completed trials advances, progress is
 // invoked with the new prefix length and the stable prefix of the result
 // slice. Calls are serialized and done is strictly increasing, finishing
-// with progress(n, out) once the last chunk lands. The prefix is safe to
+// with progress(n, out) once the last chunk lands; chunk 0 is evaluated
+// before the rest fan out, so a run of two or more chunks always reports
+// a prefix below n first. The prefix is safe to
 // read without synchronization — every trial below the frontier has been
 // fully written and no worker will touch it again — but it aliases the
 // final result slice, so callers must not mutate it and must copy anything
@@ -70,6 +72,34 @@ func MapChunksProgress[T any](ctx context.Context, n, workers, chunk int, fn fun
 		mu.Unlock()
 		cancel()
 	}
+	// runChunk evaluates chunk c and advances the frontier; false means the
+	// chunk failed.
+	runChunk := func(c int) bool {
+		lo := c * chunk
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		if err := fn(runCtx, lo, hi, out[lo:hi]); err != nil {
+			fail(lo, hi, err)
+			return false
+		}
+		if fr != nil {
+			fr.complete(c, emit)
+		}
+		return true
+	}
+	// With a progress callback and more than one worker, chunk 0 runs
+	// alone before the fan-out. Racing workers could otherwise finish it
+	// last and jump the frontier from 0 straight to n; run first, it
+	// guarantees that a multi-chunk run reports a prefix below n before
+	// its final call. A single worker already takes chunk 0 first.
+	if fr != nil && workers > 1 && runCtx.Err() == nil {
+		next.Store(0)
+		if !runChunk(0) {
+			workers = 0
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -79,17 +109,8 @@ func MapChunksProgress[T any](ctx context.Context, n, workers, chunk int, fn fun
 				if c >= nchunks || runCtx.Err() != nil {
 					return
 				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				if err := fn(runCtx, lo, hi, out[lo:hi]); err != nil {
-					fail(lo, hi, err)
+				if !runChunk(c) {
 					return
-				}
-				if fr != nil {
-					fr.complete(c, emit)
 				}
 			}
 		}()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 )
 
 // fillIdentity is the chunk body used across these tests: out[j] = lo+j,
@@ -64,6 +65,31 @@ func TestMapChunksProgressFrontier(t *testing.T) {
 				t.Errorf("final progress done = %d, want %d", last, tc.n)
 			}
 		})
+	}
+}
+
+// TestMapChunksProgressFirstChunkFirst pins the time-to-first-result
+// guarantee: even when chunk 0 is by far the slowest, the first progress
+// call reports chunk 0's prefix, below n — racing workers never finish the
+// rest first and jump the frontier from 0 to n in one step.
+func TestMapChunksProgressFirstChunkFirst(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		var dones []int
+		_, err := MapChunksProgress(context.Background(), 64, workers, 8,
+			func(ctx context.Context, lo, hi int, out []int) error {
+				if lo == 0 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				return fillIdentity(ctx, lo, hi, out)
+			},
+			func(done int, _ []int) { dones = append(dones, done) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dones) < 2 || dones[0] != 8 {
+			t.Errorf("workers=%d: progress calls %v, want the first to report chunk 0 (8 of 64)",
+				workers, dones)
+		}
 	}
 }
 

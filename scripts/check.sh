@@ -83,6 +83,18 @@ else
     fail=1
 fi
 
+# The stream frontier wall guards the streamed sweep's first progress
+# line: MapChunksProgress runs chunk 0 before fanning out, so a cold
+# multi-chunk stream always carries a progress line before its result.
+# Repeated at several GOMAXPROCS settings because the failure it guards
+# against was a worker race. Named so a failure is attributed immediately.
+echo "== stream frontier wall =="
+if go test ./internal/serve -run TestSweepStreamDifferential -count=200 -cpu 1,2,8; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The plan-cache differential wall is the correctness proof for the
 # second-level evaluation cache: cached-plan and fresh-compile evaluations
 # must be byte-identical (bodies and ETags) for every ensemble kind and
