@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"wroofline/internal/sweep"
 	"wroofline/internal/units"
@@ -27,10 +28,18 @@ type RNG struct {
 // NewRNG seeds a generator; a zero seed is replaced by a fixed constant
 // (xorshift cannot leave state zero).
 func NewRNG(seed uint64) *RNG {
+	r := new(RNG)
+	r.reseed(seed)
+	return r
+}
+
+// reseed restarts the generator in place exactly as NewRNG(seed) starts a
+// new one, so a loop over seeded trials can reuse one generator.
+func (r *RNG) reseed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &RNG{state: seed}
+	r.state = seed
 }
 
 // Uint64 advances the generator.
@@ -134,15 +143,19 @@ func NewDistribution(samples []float64) (*Distribution, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("contention: empty sample set")
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	for _, v := range s {
+	return sortedDistribution(append([]float64(nil), samples...))
+}
+
+// sortedDistribution sorts samples in place and keeps them: the caller
+// hands over a slice nothing else holds.
+func sortedDistribution(samples []float64) (*Distribution, error) {
+	for _, v := range samples {
 		if math.IsNaN(v) {
 			return nil, fmt.Errorf("contention: NaN sample")
 		}
 	}
-	sort.Float64s(s)
-	return &Distribution{sorted: s}, nil
+	sort.Float64s(samples)
+	return &Distribution{sorted: samples}, nil
 }
 
 // N returns the sample count.
@@ -240,9 +253,10 @@ func MonteCarloEnsemble(ctx context.Context, n int, seed uint64, workers int, s 
 
 // MonteCarloEnsembleBatch is MonteCarloEnsemble with chunked evaluation: the
 // n day trials are split into contiguous chunks of sweep.ChunkSize(n,
-// workers, batch) days and run delivers each chunk's day rates in one call,
-// filling one makespan per day — the shape a batch simulator executor
-// (sim.Plan.RunBatch) consumes without per-day dispatch overhead.
+// workers, batch) days and run delivers each chunk's day rates in one call
+// (the slice is reused once run returns), filling one makespan per day —
+// the shape a batch simulator executor (sim.Plan.RunBatch) consumes without
+// per-day dispatch overhead.
 //
 // Day sampling is unchanged: day i's RNG is still seeded from (seed, i) via
 // sweep.TrialSeed regardless of chunk geometry, so the distribution is
@@ -265,10 +279,17 @@ func MonteCarloEnsembleBatchProgress(ctx context.Context, n int, seed uint64, wo
 		return nil, fmt.Errorf("contention: nil sampler or run function")
 	}
 	samples, err := sweep.MapChunksProgress(ctx, n, workers, batch, func(_ context.Context, lo, hi int, out []float64) error {
-		days := make([]units.ByteRate, hi-lo)
+		ds := dayPool.Get().(*dayScratch)
+		defer dayPool.Put(ds)
+		if cap(ds.days) < hi-lo {
+			ds.days = make([]units.ByteRate, hi-lo)
+		}
+		days := ds.days[:hi-lo]
 		for i := range days {
-			rng := NewRNG(sweep.TrialSeed(seed, lo+i))
-			rate := s.Sample(rng)
+			// One generator reseeded per day: day i still draws from its
+			// own (seed, i) stream.
+			ds.rng.reseed(sweep.TrialSeed(seed, lo+i))
+			rate := s.Sample(&ds.rng)
 			if rate <= 0 {
 				return fmt.Errorf("contention: sampler produced non-positive rate %v", float64(rate))
 			}
@@ -282,5 +303,16 @@ func MonteCarloEnsembleBatchProgress(ctx context.Context, n int, seed uint64, wo
 	if err != nil {
 		return nil, err
 	}
-	return NewDistribution(samples)
+	// samples is this call's own result slice (progress callbacks only
+	// borrowed prefixes of it), so it is sorted in place, not copied.
+	return sortedDistribution(samples)
 }
+
+// dayScratch is one chunk's day rates and the generator that draws them,
+// pooled so a chunk allocates neither.
+type dayScratch struct {
+	rng  RNG
+	days []units.ByteRate
+}
+
+var dayPool = sync.Pool{New: func() any { return new(dayScratch) }}

@@ -26,7 +26,8 @@ package plancache
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -88,7 +89,7 @@ func CaseKey(name string) Key {
 }
 
 // ScenarioKey addresses one generated corpus scenario on a machine. The
-// identity is the resolved machine name plus the canonical JSON of the
+// identity is the resolved machine name plus every field of the
 // *normalized* generator spec, so written specs that differ only by
 // spelled-out defaults share an entry.
 //
@@ -99,22 +100,42 @@ func CaseKey(name string) Key {
 // name ("gen-<family>-w<w>-d<d>-s<seed>"), which no corpus table reads —
 // scenario aggregation keys on family, not name. This is what lets
 // seed-rotated corpus requests (the seed-vary mix) hit ~100%.
+//
+// The identity bytes are written by hand into the pooled buffer: strings
+// length-prefixed, integers as varints, CV as its float bits. Every field
+// is self-delimiting, so distinct identities never share bytes, and the
+// key costs one SHA-256 and no allocation.
 func ScenarioKey(spec *wfgen.Spec, machineName string) Key {
 	n := spec.Normalized()
 	if n.CV <= 0 {
 		n.Seed = 0
 	}
-	data, err := json.Marshal(&n)
-	if err != nil {
-		// A wfgen.Spec is plain scalars and strings; Marshal cannot fail.
-		panic("plancache: marshal normalized wfgen spec: " + err.Error())
+	if n.CV == 0 {
+		n.CV = 0 // one spelling of zero: -0 generates what 0 does
 	}
 	bp := keyPool.Get().(*[]byte)
 	b := append((*bp)[:0], "scenario\x00"...)
-	b = append(b, machineName...)
-	b = append(b, 0)
-	b = append(b, data...)
+	b = appendString(b, machineName)
+	b = appendString(b, n.Family)
+	b = binary.AppendUvarint(b, n.Seed)
+	b = binary.AppendVarint(b, int64(n.Width))
+	b = binary.AppendVarint(b, int64(n.Depth))
+	b = appendString(b, n.Partition)
+	b = binary.AppendVarint(b, int64(n.NodesPerTask))
+	b = appendString(b, n.Flops)
+	b = appendString(b, n.Mem)
+	b = appendString(b, n.Net)
+	b = appendString(b, n.FS)
+	b = appendString(b, n.Payload)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.CV))
 	return finish(bp, b)
+}
+
+// appendString appends s with a uvarint length prefix, so no content —
+// separators and length bytes included — can straddle a field boundary.
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // ModelKey addresses a built core.Model for an inline workflow: the

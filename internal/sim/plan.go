@@ -22,7 +22,9 @@ import (
 // per-task state table, and the per-phase callback tables are all reused
 // across trials).
 //
-// A Plan is immutable after Compile and safe for concurrent Run calls from
+// A Plan is immutable after Compile apart from its trial memo, a bounded
+// cache of pure results (failure-free trial scalars keyed by their resolved
+// inputs; see RunBatch), and safe for concurrent Run and RunBatch calls from
 // multiple goroutines; each call checks out its own scratch.
 type Plan struct {
 	wf   *workflow.Workflow
@@ -58,6 +60,9 @@ type Plan struct {
 	// fast path accepts (contention-free, failure-free — see analytic.go);
 	// nil when the plan needs the event loop.
 	analytic *BatchResult
+
+	// memo caches failure-free batch results across RunBatch calls.
+	memo trialMemo
 
 	scratch sync.Pool // of *trialRun
 }

@@ -113,10 +113,11 @@ func progressFn[T any](total int, emit func(Progress), value func(T) float64) fu
 		bufCap = summaryCap + 1
 	}
 	buf := make([]float64, 0, bufCap)
-	// One Summarizer per run: its sort scratch grows to the largest snapshot
-	// and is reused across all ~64 of them. Callbacks are serialized under
-	// the frontier lock, so the shared scratch needs no locking.
+	// One Summarizer per run, reserved for the largest snapshot so all ~64
+	// of them sort in place. Callbacks are serialized under the frontier
+	// lock, so the shared scratch needs no locking.
 	var z sweep.Summarizer
+	z.Reserve(bufCap)
 	return func(done int, prefix []T) {
 		if !th.take(done) {
 			return

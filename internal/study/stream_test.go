@@ -140,3 +140,29 @@ func TestRunStreamNonEnsembleKinds(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 }
+
+// TestProgressSnapshotAllocFloor pins the snapshot path's reuse contract:
+// progressFn reserves the summarizer for its largest snapshot, so after the
+// first snapshot every later one — each over a longer prefix — allocates
+// nothing.
+func TestProgressSnapshotAllocFloor(t *testing.T) {
+	const total = 64 * 256
+	makespans := make([]float64, total)
+	for i := range makespans {
+		makespans[i] = float64((i*7919)%997) + 0.5
+	}
+	var last Progress
+	snapshot := progressFn(total, func(p Progress) { last = p }, func(v float64) float64 { return v })
+	done := 256
+	snapshot(done, makespans[:done])
+	allocs := testing.AllocsPerRun(50, func() {
+		done += 256
+		snapshot(done, makespans[:done])
+	})
+	if allocs != 0 {
+		t.Errorf("progress snapshots allocate %.1f objects each after the first, want 0", allocs)
+	}
+	if last.Done != done || last.Summary.N != done {
+		t.Fatalf("last snapshot = %+v; want done %d (the throttle skipped snapshots)", last, done)
+	}
+}

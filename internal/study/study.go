@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"wroofline/internal/archetype"
 	"wroofline/internal/contention"
@@ -248,21 +249,21 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 	// bit-identical to the per-trial path at any worker count or batch size.
 	d, err := contention.MonteCarloEnsembleBatchProgress(ctx, spec.Trials, spec.Seed, spec.Workers, spec.Batch, s,
 		func(days []units.ByteRate, out []float64) error {
-			trials := make([]sim.Trial, len(days))
+			cs := getChunkScratch(len(days))
+			defer cs.put()
 			for i, rate := range days {
-				trials[i] = sim.Trial{
+				cs.trials[i] = sim.Trial{
 					OverrideExternal: true,
 					ExternalBW:       units.ByteRate(streams) * rate,
 				}
 				if streams > 1 {
-					trials[i].ExternalPerFlowCap = rate
+					cs.trials[i].ExternalPerFlowCap = rate
 				}
 			}
-			brs := make([]sim.BatchResult, len(days))
-			if err := plan.RunBatch(trials, brs); err != nil {
+			if err := plan.RunBatch(cs.trials, cs.brs); err != nil {
 				return err
 			}
-			for i, br := range brs {
+			for i, br := range cs.brs {
 				out[i] = br.Makespan
 			}
 			return nil
@@ -294,6 +295,34 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 		return nil, err
 	}
 	return []*report.Table{tbl}, nil
+}
+
+// chunkScratch is one chunk's batch-executor input and output. The Monte
+// Carlo and failure runners take it from chunkPool per chunk, so a worker
+// reuses the same two slices across chunks and requests.
+type chunkScratch struct {
+	trials []sim.Trial
+	brs    []sim.BatchResult
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkScratch) }}
+
+// getChunkScratch returns a pooled scratch sized for n trials.
+func getChunkScratch(n int) *chunkScratch {
+	cs := chunkPool.Get().(*chunkScratch)
+	if cap(cs.trials) < n {
+		cs.trials = make([]sim.Trial, n)
+		cs.brs = make([]sim.BatchResult, n)
+	}
+	cs.trials, cs.brs = cs.trials[:n], cs.brs[:n]
+	return cs
+}
+
+// put clears the trials, so the pool never pins a chunk's failure models,
+// and returns the scratch to the pool.
+func (cs *chunkScratch) put() {
+	clear(cs.trials)
+	chunkPool.Put(cs)
 }
 
 // failureTrial is one failure-ensemble outcome.
@@ -336,21 +365,21 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	// the random streams, so outcomes match the per-trial path bit for bit.
 	trials, err := sweep.MapChunksProgress(ctx, spec.Trials, spec.Workers, spec.Batch,
 		func(ctx context.Context, lo, hi int, out []failureTrial) error {
-			st := make([]sim.Trial, hi-lo)
-			for i := range st {
+			cs := getChunkScratch(hi - lo)
+			defer cs.put()
+			for i := range cs.trials {
 				fs := *spec.Failure
 				fs.Seed = sweep.TrialSeed(spec.Seed, lo+i)
 				fm, err := fs.Compile()
 				if err != nil {
 					return err
 				}
-				st[i] = sim.Trial{Failures: fm}
+				cs.trials[i] = sim.Trial{Failures: fm}
 			}
-			brs := make([]sim.BatchResult, hi-lo)
-			if err := plan.RunBatch(st, brs); err != nil {
+			if err := plan.RunBatch(cs.trials, cs.brs); err != nil {
 				return err
 			}
-			for i, br := range brs {
+			for i, br := range cs.brs {
 				out[i] = failureTrial{
 					makespan: br.Makespan,
 					retries:  br.Retries,
@@ -586,12 +615,21 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		tmpl = *spec.Template
 	}
 	// Validate one representative spec per family up front so template errors
-	// surface once, not Count times from inside the pool.
-	for _, fam := range families {
+	// surface once, not Count times from inside the pool. With CV <= 0 the
+	// seed never enters a scenario key, so each family's key is hashed here
+	// once instead of once per scenario.
+	var famKeys []plancache.Key
+	if plans != nil && tmpl.CV <= 0 {
+		famKeys = make([]plancache.Key, len(families))
+	}
+	for f, fam := range families {
 		s := tmpl
 		s.Family = fam
 		if err := s.Validate(); err != nil {
 			return nil, err
+		}
+		if famKeys != nil {
+			famKeys[f] = plancache.ScenarioKey(&s, m.Name)
 		}
 	}
 	scenarios, err := sweep.MapChunksProgress(ctx, spec.Count, spec.Workers, spec.Batch,
@@ -603,7 +641,11 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 				s.Seed = sweep.TrialSeed(spec.Seed, i)
 				var key plancache.Key
 				if plans != nil {
-					key = plancache.ScenarioKey(&s, m.Name)
+					if famKeys != nil {
+						key = famKeys[i%len(families)]
+					} else {
+						key = plancache.ScenarioKey(&s, m.Name)
+					}
 					if v, ok := plans.Get(key); ok {
 						sc := v.(*plancache.Scenario)
 						out[j] = corpusScenario{

@@ -156,6 +156,47 @@ func TestMapChunksContextCancellation(t *testing.T) {
 	}
 }
 
+// TestMapChunksSingleWorkerInline pins the one-worker schedule: every chunk
+// runs on the calling goroutine, in order; a failure ends the run at the
+// failing chunk and a cancellation before the next one.
+func TestMapChunksSingleWorkerInline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var order []int
+	_, err := MapChunks(context.Background(), 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("chunk [%d,%d) ran beside %d goroutines, want the caller's %d", lo, hi, n, before)
+		}
+		order = append(order, lo)
+		if lo == 30 {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "sweep: trials [30,40): boom" {
+		t.Fatalf("err = %v, want sweep: trials [30,40): boom", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 10, 20, 30}) {
+		t.Fatalf("chunks ran as %v, want [0 10 20 30]", order)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	order = nil
+	_, err = MapChunks(ctx, 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
+		order = append(order, lo)
+		if lo == 20 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 10, 20}) {
+		t.Fatalf("chunks ran as %v after cancelling in [20,30), want [0 10 20]", order)
+	}
+}
+
 func TestMapChunksEdgeCases(t *testing.T) {
 	if _, err := MapChunks[int](context.Background(), -1, 1, 1, func(context.Context, int, int, []int) error { return nil }); err == nil {
 		t.Error("negative trial count should fail")

@@ -217,13 +217,32 @@ func parse(s, unit string) (float64, error) {
 		return 0, fmt.Errorf("units: %q does not end in unit %q", s, unit)
 	}
 	prefix := strings.TrimSpace(lr[:len(lr)-len(lu)])
-	factor, ok := map[string]float64{
-		"": 1, "k": 1e3, "m": 1e6, "g": 1e9, "t": 1e12, "p": 1e15, "e": 1e18,
-	}[prefix]
-	if !ok {
+	factor := siFactor(prefix)
+	if factor == 0 {
 		return 0, fmt.Errorf("units: unknown SI prefix %q in %q", prefix, s)
 	}
 	return v * factor, nil
+}
+
+// siFactor maps a lower-case SI prefix to its multiplier, 0 when unknown.
+func siFactor(prefix string) float64 {
+	switch prefix {
+	case "":
+		return 1
+	case "k":
+		return 1e3
+	case "m":
+		return 1e6
+	case "g":
+		return 1e9
+	case "t":
+		return 1e12
+	case "p":
+		return 1e15
+	case "e":
+		return 1e18
+	}
+	return 0
 }
 
 // ParseBytes parses strings like "4 GB", "2TB", "45 MB", or "1024" (bare

@@ -35,10 +35,11 @@ else
 fi
 
 # The batch-executor differential wall is the correctness proof for the
-# Monte Carlo fast path; run it as a named gate (race + quick) so a
-# regression is attributed immediately rather than buried in the full run.
+# Monte Carlo fast path and the plan's trial memo; run it as a named gate
+# (race + quick) so a regression is attributed immediately rather than
+# buried in the full run.
 echo "== batch differential wall (race) =="
-if go test -race ./internal/sim -run 'TestBatchDifferential|TestAnalytic' -count=1; then
+if go test -race ./internal/sim -run 'TestBatchDifferential|TestAnalytic|TestPlanMemo' -count=1; then
     echo "ok"
 else
     fail=1
