@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"wroofline/internal/cas"
-	"wroofline/internal/sim"
 	"wroofline/internal/wfgen"
 )
 
@@ -41,11 +40,8 @@ import (
 type Key = cas.Key
 
 // Scenario is one generated corpus scenario's construction output: the
-// workflow metadata and derived figures the corpus tables consume, plus the
-// compiled plan itself. Everything in it is immutable after insertion —
-// corpus aggregation reads the scalar fields and never touches Plan again
-// (the makespan is already evaluated), but the plan rides along so future
-// trial-varying corpus kinds can rerun it without recompiling.
+// workflow metadata and derived figures the corpus tables consume. It is
+// immutable after insertion.
 type Scenario struct {
 	// Tasks is the generated workflow's task count.
 	Tasks int
@@ -55,8 +51,6 @@ type Scenario struct {
 	Limiting string
 	// Makespan is the contention-free simulated makespan.
 	Makespan float64
-	// Plan is the compiled simulation plan (immutable, concurrent-safe).
-	Plan *sim.Plan
 }
 
 // keyPool recycles the concatenation buffer behind the key constructors so

@@ -23,7 +23,11 @@ type Pool struct {
 	eng   *engine.Engine
 	total int
 	free  int
+	// queue[head:] are the waiting requests. Granting advances head; the
+	// slice is reset when it drains and compacted when an append would
+	// otherwise grow it, so a steady acquire/release cycle reuses one array.
 	queue []request
+	head  int
 	// peakInUse tracks the high-water mark of allocated nodes.
 	peakInUse int
 	// down counts nodes out of service (failure models); downPending counts
@@ -52,7 +56,9 @@ func (p *Pool) Reset(total int) error {
 	}
 	p.total = total
 	p.free = total
+	clear(p.queue[:cap(p.queue)])
 	p.queue = p.queue[:0]
+	p.head = 0
 	p.peakInUse = 0
 	p.down = 0
 	p.downPending = 0
@@ -76,7 +82,7 @@ func (p *Pool) Down() int { return p.down + p.downPending }
 func (p *Pool) PeakInUse() int { return p.peakInUse }
 
 // QueueLength returns the number of waiting requests.
-func (p *Pool) QueueLength() int { return len(p.queue) }
+func (p *Pool) QueueLength() int { return len(p.queue) - p.head }
 
 // Acquire requests n nodes; granted runs (synchronously, at the current
 // virtual time) once they are allocated. Grants are strictly FIFO: a large
@@ -91,6 +97,12 @@ func (p *Pool) Acquire(n int, granted func()) error {
 	}
 	if granted == nil {
 		return fmt.Errorf("resources: pool %q: nil grant callback", p.Name)
+	}
+	if len(p.queue) == cap(p.queue) && p.head > 0 {
+		k := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[k:])
+		p.queue = p.queue[:k]
+		p.head = 0
 	}
 	p.queue = append(p.queue, request{n: n, granted: granted})
 	p.dispatch()
@@ -155,11 +167,16 @@ func (p *Pool) Online(n int) error {
 	return nil
 }
 
-// dispatch grants requests from the queue head while they fit.
+// dispatch grants requests from the queue head while they fit. A grant may
+// re-enter Acquire or Release, so the queue position lives in p, not here.
 func (p *Pool) dispatch() {
-	for len(p.queue) > 0 && p.queue[0].n <= p.free {
-		req := p.queue[0]
-		p.queue = p.queue[1:]
+	for p.head < len(p.queue) && p.queue[p.head].n <= p.free {
+		req := p.queue[p.head]
+		p.queue[p.head] = request{}
+		if p.head++; p.head == len(p.queue) {
+			p.queue = p.queue[:0]
+			p.head = 0
+		}
 		p.free -= req.n
 		if inUse := p.total - p.free - p.down; inUse > p.peakInUse {
 			p.peakInUse = inUse

@@ -282,3 +282,56 @@ func TestPoolOfflineBusyNodesDrain(t *testing.T) {
 		t.Fatal("offline zero should error")
 	}
 }
+
+// TestPoolSteadyStateAllocs pins queue reuse. With a backlog that never
+// drains, every cycle appends one request and grants one. Popping the
+// head by reslicing shed the array's front capacity, so those appends kept
+// reallocating; a steady acquire/release cycle must allocate nothing, and
+// compaction must keep grants in FIFO order.
+func TestPoolSteadyStateAllocs(t *testing.T) {
+	p, err := NewPool(engine.New(), "cpu", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	for id := 0; id < 40; id++ {
+		if err := p.Acquire(1, func() { order = append(order, id) }); err != nil {
+			t.Fatal(err)
+		}
+		if id >= 4 { // keep three requests waiting behind the holder
+			if err := p.Release(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k, id := range order {
+		if id != k {
+			t.Fatalf("grant %d went to request %d, want FIFO order: %v", k, id, order)
+		}
+	}
+	if p.QueueLength() != 3 {
+		t.Fatalf("QueueLength = %d, want 3", p.QueueLength())
+	}
+
+	grants := 0
+	granted := func() { grants++ }
+	// AllocsPerRun truncates to whole allocations per run, so one run is
+	// 64 cycles: a reallocation every few cycles still shows.
+	cycles := func() {
+		for i := 0; i < 64; i++ {
+			if err := p.Acquire(1, granted); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Release(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycles() // flush the recording callbacks
+	if allocs := testing.AllocsPerRun(100, cycles); allocs != 0 {
+		t.Errorf("64 steady Acquire/Release cycles allocate %.0f objects, want 0", allocs)
+	}
+	if p.QueueLength() != 3 || grants == 0 {
+		t.Errorf("QueueLength = %d, grants = %d after the steady cycle", p.QueueLength(), grants)
+	}
+}

@@ -77,9 +77,9 @@ func (p *Plan) RunBatch(trials []Trial, out []BatchResult) error {
 	if len(trials) == 0 {
 		return nil
 	}
-	r := p.scratch.Get().(*trialRun)
+	r := getTrialRun(p)
 	err := r.runBatch(p, trials, out)
-	r.release(p)
+	r.release()
 	return err
 }
 
@@ -176,9 +176,9 @@ func (p *Plan) RunScalar(trial Trial) (BatchResult, error) {
 	if fm == nil && p.analytic != nil {
 		return *p.analytic, nil
 	}
-	r := p.scratch.Get().(*trialRun)
+	r := getTrialRun(p)
 	br, err := r.runScalar(p, fm, externalBW, externalCap)
-	r.release(p)
+	r.release()
 	return br, err
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"wroofline/internal/engine"
@@ -18,9 +19,9 @@ import (
 // validates everything that is identical across Monte Carlo trials — phase
 // programs, the dependency structure as index slices, link bandwidths, the
 // partition — so each Run only touches per-trial mutable state, drawn from
-// an internal sync.Pool of scratch runs (engine, node pool, links, the
-// per-task state table, and the per-phase callback tables are all reused
-// across trials).
+// a package-level sync.Pool of scratch runs that belong to no plan (engine,
+// node pool, links, the per-task state table, and the callback tables are
+// all reused across trials and plans).
 //
 // A Plan is immutable after Compile apart from its trial memo, a bounded
 // cache of pure results (failure-free trial scalars keyed by their resolved
@@ -37,12 +38,12 @@ type Plan struct {
 	total        int
 
 	tasks    []*workflow.Task // ID-sorted, same order wf.Tasks() returns
-	index    map[string]int
 	programs []Program
 	preds    []int     // dependency counts by task index
 	succs    [][]int   // successor indices, in Succs' (ID-sorted) order
 	staged   []float64 // per-task external+FS payload of the nominal program
 	phOff    []int     // phase slot offsets: task i's phase j is slot phOff[i]+j
+	slotTask []int32   // the task index owning each phase slot
 	slots    int       // total phase slots (phOff[len(tasks)])
 
 	needExternal bool
@@ -63,8 +64,6 @@ type Plan struct {
 
 	// memo caches failure-free batch results across RunBatch calls.
 	memo trialMemo
-
-	scratch sync.Pool // of *trialRun
 }
 
 // Trial selects the per-trial variations a compiled plan supports: the knobs
@@ -135,20 +134,29 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 
 	p.memBW = part.EffectiveMemBW()
 
-	// Resolve programs and validate them up front.
+	// Resolve programs and validate them up front. Default programs are
+	// carved out of one slab, sized by a counting pass.
 	hasNetwork := false
 	p.tasks = wf.Tasks()
-	p.index = make(map[string]int, len(p.tasks))
-	for i, t := range p.tasks {
-		p.index[t.ID] = i
+	n := len(p.tasks)
+	defaults := 0
+	for _, t := range p.tasks {
+		if _, ok := programs[t.ID]; !ok {
+			defaults += defaultPhases(t)
+		}
 	}
-	p.programs = make([]Program, len(p.tasks))
-	p.staged = make([]float64, len(p.tasks))
-	p.phOff = make([]int, len(p.tasks)+1)
+	slab := make(Program, 0, defaults)
+	p.programs = make([]Program, n)
+	p.staged = make([]float64, n)
+	p.phOff = make([]int, n+1)
 	for i, t := range p.tasks {
 		prog, ok := programs[t.ID]
 		if !ok {
-			prog = DefaultProgram(t)
+			start := len(slab)
+			slab = appendDefaultProgram(slab, t)
+			if len(slab) > start {
+				prog = slab[start:len(slab):len(slab)]
+			}
 		}
 		for _, ph := range prog {
 			if err := ph.validate(); err != nil {
@@ -175,7 +183,13 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 		p.slots += len(prog)
 		p.sumNodes += t.Nodes
 	}
-	p.phOff[len(p.tasks)] = p.slots
+	p.phOff[n] = p.slots
+	p.slotTask = make([]int32, p.slots)
+	for i := range p.tasks {
+		for k := p.phOff[i]; k < p.phOff[i+1]; k++ {
+			p.slotTask[k] = int32(i)
+		}
+	}
 
 	if p.needExternal {
 		ext := cfg.Machine.ExternalBW
@@ -210,19 +224,34 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 		p.bisBW = float64(bisBW)
 	}
 
-	// Dependency structure as index slices: counts in, successors out.
+	// Dependency structure as index slices: counts in, successors out, read
+	// straight from the graph's insertion-indexed adjacency. rank maps a
+	// graph index to the task's (ID-sorted) plan index, so sorting a row of
+	// ranks puts it in Succs' order; all rows share one slab.
 	g := wf.Graph()
-	p.preds = make([]int, len(p.tasks))
-	p.succs = make([][]int, len(p.tasks))
+	rank := make([]int, n)
+	edges := 0
+	p.preds = make([]int, n)
 	for i, t := range p.tasks {
-		p.preds[i] = len(g.Preds(t.ID))
-		if sux := g.Succs(t.ID); len(sux) > 0 {
-			idx := make([]int, len(sux))
-			for j, s := range sux {
-				idx[j] = p.index[s]
-			}
-			p.succs[i] = idx
+		gi, _ := g.Index(t.ID)
+		rank[gi] = i
+		p.preds[i] = g.PredCount(gi)
+		edges += p.preds[i]
+	}
+	flat := make([]int, edges)
+	p.succs = make([][]int, n)
+	for gi, i := range rank {
+		sux := g.SuccIndices(gi)
+		if len(sux) == 0 {
+			continue
 		}
+		row := flat[:len(sux):len(sux)]
+		flat = flat[len(sux):]
+		for j, s := range sux {
+			row[j] = rank[s]
+		}
+		slices.Sort(row)
+		p.succs[i] = row
 	}
 
 	p.maxEvents = cfg.MaxEvents
@@ -230,49 +259,6 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 		p.maxEvents = 10_000_000
 	}
 	p.computeAnalytic()
-	n := len(p.tasks)
-	p.scratch.New = func() any {
-		r := &trialRun{
-			plan:    p,
-			eng:     engine.New(),
-			deps:    make([]int, n),
-			states:  make([]taskState, n),
-			results: make([]TaskResult, n),
-			startcb: make([]func(), n),
-			retrycb: make([]func(), n),
-			donecb:  make([]func(), p.slots),
-			begins:  make([]float64, p.slots),
-		}
-		if p.needExternal || p.needFS || p.needBis {
-			r.flowcb = make([]func(float64, float64), p.slots)
-		}
-		if p.needBis {
-			r.joincb = make([]func(), p.slots)
-			r.joins = make([]int32, p.slots)
-		}
-		for i := range p.tasks {
-			i := i
-			r.startcb[i] = func() { r.startAttempt(i) }
-			r.retrycb[i] = func() { r.submit(i) }
-			off := p.phOff[i]
-			for j, ph := range p.programs[i] {
-				j, k := j, off+j
-				r.donecb[k] = func() { r.phaseDone(i, j, k) }
-				switch ph.Kind {
-				case PhaseExternal, PhaseFS:
-					if r.flowcb != nil {
-						r.flowcb[k] = func(_, _ float64) { r.phaseDone(i, j, k) }
-					}
-				case PhaseNetwork:
-					if p.needBis {
-						r.joincb[k] = func() { r.joinDone(i, j, k) }
-						r.flowcb[k] = func(_, _ float64) { r.joinDone(i, j, k) }
-					}
-				}
-			}
-		}
-		return r
-	}
 	return p, nil
 }
 
@@ -310,43 +296,94 @@ func (p *Plan) resolveTrial(trial Trial) (fm *failure.Model, externalBW, externa
 }
 
 // Run executes one trial of the compiled plan. Concurrent calls are safe;
-// per-trial state comes from the plan's scratch pool.
+// per-trial state comes from the shared scratch pool.
 func (p *Plan) Run(trial Trial) (*Result, error) {
 	fm, externalBW, externalCap, err := p.resolveTrial(trial)
 	if err != nil {
 		return nil, err
 	}
 
-	r := p.scratch.Get().(*trialRun)
+	r := getTrialRun(p)
 	res, err := r.run(p, fm, externalBW, externalCap)
-	r.release(p)
+	r.release()
 	return res, err
 }
 
-// release detaches everything that escaped into a Result (or is per-trial)
-// and returns the scratch to the pool.
-func (r *trialRun) release(p *Plan) {
+// trialPool holds scratch runs. A scratch belongs to no plan: getTrialRun
+// binds it to one for the length of a call, and release unbinds it.
+var trialPool = sync.Pool{New: func() any { return &trialRun{eng: engine.New()} }}
+
+// getTrialRun checks out a scratch bound to p.
+func getTrialRun(p *Plan) *trialRun {
+	r := trialPool.Get().(*trialRun)
+	r.bind(p)
+	return r
+}
+
+// bind points the scratch at p: the callback tables grow to cover p's tasks
+// and phase slots (they only ever grow, so a warm scratch serves any plan
+// without building closures), and the per-trial tables are resliced to p's
+// size.
+func (r *trialRun) bind(p *Plan) {
+	r.plan = p
+	n := len(p.tasks)
+	for i := len(r.startcb); i < n; i++ {
+		r.startcb = append(r.startcb, func() { r.startAttempt(i) })
+		r.retrycb = append(r.retrycb, func() { r.submit(i) })
+	}
+	for k := len(r.donecb); k < p.slots; k++ {
+		r.donecb = append(r.donecb, func() { r.slotDone(k) })
+		r.flowcb = append(r.flowcb, func(_, _ float64) { r.flowDone(k) })
+		r.joincb = append(r.joincb, func() { r.joinDone(k) })
+	}
+	r.deps = fit(r.deps, n)
+	r.states = fit(r.states, n)
+	r.results = fit(r.results, n)
+	r.begins = fit(r.begins, p.slots)
+	r.joins = fit(r.joins, p.slots)
+}
+
+// fit reslices s to length n, growing the backing array when it is too
+// short. Elements keep whatever an earlier use left; callers reset what
+// they read.
+func fit[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// release detaches everything that escaped into a Result (or is per-trial),
+// unbinds the plan and returns the scratch to the pool.
+func (r *trialRun) release() {
+	r.plan = nil
 	r.rec = nil
 	r.retrySeconds = nil
 	r.fm = nil
 	r.faults = nil
 	r.failure = nil
-	p.scratch.Put(r)
+	trialPool.Put(r)
 }
 
 // trialRun is the mutable per-trial state: the pooled counterpart of a
-// compiled Plan. All task-keyed state is indexed by the plan's task order;
-// all phase-keyed state by the plan's flat phase-slot numbering
+// compiled Plan. All task-keyed state is indexed by the bound plan's task
+// order; all phase-keyed state by its flat phase-slot numbering
 // (phOff[i]+j). The callback tables (startcb/retrycb/donecb/flowcb/joincb)
-// are built once when the scratch is created and reused by every trial, so
-// the steady-state event loop allocates no closures at all.
+// close over a task index or a phase slot only, never over a plan, so they
+// are built once per index and reused by every trial of every plan: the
+// steady-state event loop allocates no closures at all.
 type trialRun struct {
-	plan     *Plan
-	eng      *engine.Engine
-	pool     *resources.Pool
-	external *resources.Link // nil when the plan stages no external data
-	fs       *resources.Link // nil when the plan touches no file system
-	bis      *resources.Link // nil unless the fabric has a bisection limit
+	plan *Plan
+	eng  *engine.Engine
+	pool *resources.Pool
+	// The links the bound plan uses: nil when it stages no external data,
+	// touches no file system, or its fabric has no bisection limit.
+	external *resources.Link
+	fs       *resources.Link
+	bis      *resources.Link
+	// The links this scratch owns, created on first use and reset per trial;
+	// a plan's trial activates only the ones it needs.
+	extLink, fsLink, bisLink *resources.Link
 
 	// rec stores spans for the full Result path; nil in scalar (batch) mode,
 	// where only the aggregates below are tracked. Both modes validate every
@@ -370,8 +407,9 @@ type trialRun struct {
 	scalarRetry  map[string]float64 // reused retrySeconds storage for scalar trials
 
 	// Persistent callback tables, indexed by task (startcb/retrycb) or phase
-	// slot (the rest). begins holds each in-flight phase's start time; joins
-	// counts a bisection network phase's outstanding completions.
+	// slot (the rest), possibly longer than the bound plan needs. begins
+	// holds each in-flight phase's start time; joins counts a bisection
+	// network phase's outstanding completions.
 	startcb []func()
 	retrycb []func()
 	donecb  []func()
@@ -407,7 +445,9 @@ type taskState struct {
 	frac   float64
 	// firstStart is the first attempt's start time — the task window origin.
 	firstStart float64
-	stream     *failure.Stream
+	// stream is the task's fault stream, seeded on the first attempt when
+	// the model has a task failure probability.
+	stream failure.Stream
 	// scaled is the reusable buffer scaleInto fills for partial attempts, so
 	// retries do not allocate a program copy. Attempts of one task are
 	// strictly sequential, so one buffer per task suffices.
@@ -433,7 +473,6 @@ func (st *taskState) scaleInto(p Program, factor float64) Program {
 // scalar mode no Recorder is attached: spans collapse into min-start /
 // max-end / count as they are recorded.
 func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap float64, scalar bool) error {
-	r.plan = p
 	r.eng.Reset()
 	r.eng.MaxEvents = p.maxEvents
 	if r.pool == nil {
@@ -442,39 +481,26 @@ func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap 
 			return err
 		}
 		r.pool = pool
-	} else if err := r.pool.Reset(p.nodes); err != nil {
-		return err
+	} else {
+		r.pool.Name = p.part.Name
+		if err := r.pool.Reset(p.nodes); err != nil {
+			return err
+		}
 	}
+	r.external, r.fs, r.bis = nil, nil, nil
+	var err error
 	if p.needExternal {
-		if r.external == nil {
-			l, err := resources.NewLink(r.eng, "external", externalBW, externalCap)
-			if err != nil {
-				return err
-			}
-			r.external = l
-		} else if err := r.external.Reset(externalBW, externalCap); err != nil {
+		if r.external, err = r.link(&r.extLink, "external", externalBW, externalCap); err != nil {
 			return err
 		}
 	}
 	if p.needFS {
-		if r.fs == nil {
-			l, err := resources.NewLink(r.eng, "filesystem", p.fsBW, p.fsCap)
-			if err != nil {
-				return err
-			}
-			r.fs = l
-		} else if err := r.fs.Reset(p.fsBW, p.fsCap); err != nil {
+		if r.fs, err = r.link(&r.fsLink, "filesystem", p.fsBW, p.fsCap); err != nil {
 			return err
 		}
 	}
 	if p.needBis {
-		if r.bis == nil {
-			l, err := resources.NewLink(r.eng, "bisection", p.bisBW, 0)
-			if err != nil {
-				return err
-			}
-			r.bis = l
-		} else if err := r.bis.Reset(p.bisBW, 0); err != nil {
+		if r.bis, err = r.link(&r.bisLink, "bisection", p.bisBW, 0); err != nil {
 			return err
 		}
 	}
@@ -532,6 +558,20 @@ func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap 
 			r.completed, p.total)
 	}
 	return nil
+}
+
+// link returns the owned link *l reset to the trial's geometry, creating it
+// on first use.
+func (r *trialRun) link(l **resources.Link, name string, bw, perFlowCap float64) (*resources.Link, error) {
+	if *l == nil {
+		nl, err := resources.NewLink(r.eng, name, bw, perFlowCap)
+		if err != nil {
+			return nil, err
+		}
+		*l = nl
+		return nl, nil
+	}
+	return *l, (*l).Reset(bw, perFlowCap)
 }
 
 // run executes one trial on checked-out scratch and builds the full Result.
@@ -619,19 +659,20 @@ func (r *trialRun) startAttempt(i int) {
 	start := r.eng.Now()
 	task := r.plan.tasks[i]
 	st := &r.states[i]
+	draws := r.fm != nil && r.fm.TaskFailProb > 0
 	if !st.started {
 		st.started = true
 		st.remaining = 1
 		st.firstStart = start
-		if r.fm != nil && r.fm.TaskFailProb > 0 {
-			st.stream = failure.TaskStream(r.fm.Seed, task.ID)
+		if draws {
+			st.stream = *failure.TaskStream(r.fm.Seed, task.ID)
 		}
 	}
 	st.attempt++
 	st.background = 0
 	st.chainDone = false
 	st.doomed = false
-	if st.stream != nil {
+	if draws {
 		if st.stream.Float64() < r.fm.TaskFailProb {
 			st.doomed = true
 			st.frac = st.stream.Float64()
@@ -706,6 +747,25 @@ func (r *trialRun) dispatch(i int, ph Phase, k int) {
 			r.fail(err)
 		}
 	}
+}
+
+// slotDone is donecb's target: phase slot k finished.
+func (r *trialRun) slotDone(k int) {
+	i := int(r.plan.slotTask[k])
+	r.phaseDone(i, k-r.plan.phOff[i], k)
+}
+
+// flowDone is flowcb's target: the shared-link flow of phase slot k landed.
+// For a network phase that is the fabric leg of a bisection join; for an
+// external or file-system phase it finishes the phase.
+func (r *trialRun) flowDone(k int) {
+	i := int(r.plan.slotTask[k])
+	j := k - r.plan.phOff[i]
+	if r.states[i].prog[j].Kind == PhaseNetwork {
+		r.joinDone(k)
+		return
+	}
+	r.phaseDone(i, j, k)
 }
 
 // phaseDone finishes phase j (slot k) of task i: record the span, charge
@@ -843,11 +903,11 @@ func (r *trialRun) network(i int, ph Phase, k int) {
 	}
 }
 
-// joinDone settles one leg of a bisection network phase (NIC injection or
-// fabric transfer); the phase finishes when both have landed.
-func (r *trialRun) joinDone(i, j, k int) {
+// joinDone settles one leg of a bisection network phase slot k (NIC
+// injection or fabric transfer); the phase finishes when both have landed.
+func (r *trialRun) joinDone(k int) {
 	if r.joins[k]--; r.joins[k] == 0 {
-		r.phaseDone(i, j, k)
+		r.slotDone(k)
 	}
 }
 

@@ -138,7 +138,29 @@ type Program []Phase
 // external staging, file-system load, PCIe transfer, memory traffic,
 // network exchange, then compute. Unused components produce no phases.
 func DefaultProgram(t *workflow.Task) Program {
-	var p Program
+	n := defaultPhases(t)
+	if n == 0 {
+		return nil
+	}
+	return appendDefaultProgram(make(Program, 0, n), t)
+}
+
+// defaultPhases counts the phases DefaultProgram derives for t, so Compile
+// can carve every default program out of one exactly sized slab.
+func defaultPhases(t *workflow.Task) int {
+	w := &t.Work
+	n := 0
+	for _, v := range [...]float64{float64(w.ExternalBytes), float64(w.FSBytes), float64(w.PCIeBytes),
+		float64(w.MemBytes), float64(w.NetworkBytes), float64(w.Flops)} {
+		if v > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// appendDefaultProgram appends t's default phases to p.
+func appendDefaultProgram(p Program, t *workflow.Task) Program {
 	if t.Work.ExternalBytes > 0 {
 		p = append(p, Phase{Kind: PhaseExternal, Bytes: t.Work.ExternalBytes})
 	}

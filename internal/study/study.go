@@ -299,10 +299,12 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 
 // chunkScratch is one chunk's batch-executor input and output. The Monte
 // Carlo and failure runners take it from chunkPool per chunk, so a worker
-// reuses the same two slices across chunks and requests.
+// reuses the same slices across chunks and requests. models backs the
+// failure trials' per-trial fault models.
 type chunkScratch struct {
 	trials []sim.Trial
 	brs    []sim.BatchResult
+	models []failure.Model
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(chunkScratch) }}
@@ -344,14 +346,17 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	if spec.Failure == nil {
 		return nil, fmt.Errorf("failures spec needs a failure block")
 	}
-	// Compile the case (or fetch the shared plan) and validate the failure
-	// spec once up front; every trial shares the immutable plan and carries
-	// its own seeded fault model.
+	// Compile the case (or fetch the shared plan) and the failure spec once
+	// up front; every trial shares the immutable plan and carries its own
+	// copy of the model with only the seed changed (Compile copies the seed
+	// through untouched, so the copy is what compiling the reseeded spec
+	// would build).
 	plan, err := compileCase(plans, spec.Case)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := spec.Failure.Compile(); err != nil {
+	model, err := spec.Failure.Compile()
+	if err != nil {
 		return nil, err
 	}
 	baseline, err := plan.Run(sim.Trial{})
@@ -367,14 +372,14 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 		func(ctx context.Context, lo, hi int, out []failureTrial) error {
 			cs := getChunkScratch(hi - lo)
 			defer cs.put()
+			if cap(cs.models) < len(cs.trials) {
+				cs.models = make([]failure.Model, len(cs.trials))
+			}
+			cs.models = cs.models[:len(cs.trials)]
 			for i := range cs.trials {
-				fs := *spec.Failure
-				fs.Seed = sweep.TrialSeed(spec.Seed, lo+i)
-				fm, err := fs.Compile()
-				if err != nil {
-					return err
-				}
-				cs.trials[i] = sim.Trial{Failures: fm}
+				cs.models[i] = *model
+				cs.models[i].Seed = sweep.TrialSeed(spec.Seed, lo+i)
+				cs.trials[i] = sim.Trial{Failures: &cs.models[i]}
 			}
 			if err := plan.RunBatch(cs.trials, cs.brs); err != nil {
 				return err
@@ -694,7 +699,6 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 						BoundTPS: bound,
 						Limiting: limit.Resource.String(),
 						Makespan: br.Makespan,
-						Plan:     plan,
 					})
 				}
 			}

@@ -45,6 +45,22 @@ else
     fail=1
 fi
 
+# The construction wall guards the one-shot generate -> build -> compile ->
+# run path: the insertion-indexed graph must match the map-of-maps
+# reference on random graphs (duplicate edges, cycles, isolated vertices)
+# and stay safe under concurrent queries, plans of every shape must run
+# through the shared trial scratch exactly as on a fresh one, and the node
+# pool's queue must stop reallocating. The allocation floors run again
+# without -race, which drops pooled objects and would void the counts.
+echo "== construction wall (race) =="
+if go test -race ./internal/dag ./internal/resources -count=1 &&
+   go test -race ./internal/sim -run 'TestSharedScratch|TestCompileRunScalarAllocs|TestFailureBatchAllocs' -count=1 &&
+   go test ./internal/sim ./internal/resources -run 'TestCompileRunScalarAllocs|TestFailureBatchAllocs|TestPoolSteadyStateAllocs' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The cluster equivalence gates are the correctness proof for wfgate: a
 # 3-replica cluster must be byte-identical to a single server, a 64-way
 # herd must cost exactly one evaluation, and a replica kill must reroute
