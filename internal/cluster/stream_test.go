@@ -115,7 +115,10 @@ func TestClusterStreamMatchesSingleServer(t *testing.T) {
 // coalesce.
 func TestClusterStreamCoalesces(t *testing.T) {
 	c := newCluster(t, 3)
-	spec := streamSweepSpec(50_000, 44)
+	// The owner's evaluation must outlast the follower's start (a 5 ms
+	// poll, then a new request) by a wide margin; 400k trials take about
+	// 100 ms on a 2-CPU host.
+	spec := streamSweepSpec(400_000, 44)
 
 	type result struct {
 		lines []string

@@ -420,12 +420,12 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 
 	work := w.MaxWorkPerTask()
 	model := &Model{
-		Title: fmt.Sprintf("%s on %s/%s", w.Name, m.Name, part.Name),
+		Title: w.Name + " on " + m.Name + "/" + part.Name,
 		Wall:  wall,
 	}
 
 	model.AddCeiling(Ceiling{
-		Name:        fmt.Sprintf("Compute: %v @ %v", work.Flops, part.NodeFlops),
+		Name:        "Compute: " + work.Flops.String() + " @ " + part.NodeFlops.String(),
 		Resource:    ResCompute,
 		Scope:       ScopeNode,
 		TimePerTask: units.TimeToCompute(work.Flops, part.NodeFlops),
@@ -434,13 +434,13 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 	// for machines without a NUMA block EffectiveMemBW is exactly NodeMemBW.
 	memBW := part.EffectiveMemBW()
 	model.AddCeiling(Ceiling{
-		Name:        fmt.Sprintf("Memory: %v @ %v", work.MemBytes, memBW),
+		Name:        "Memory: " + work.MemBytes.String() + " @ " + memBW.String(),
 		Resource:    ResMemory,
 		Scope:       ScopeNode,
 		TimePerTask: units.TimeToMove(work.MemBytes, memBW),
 	})
 	model.AddCeiling(Ceiling{
-		Name:        fmt.Sprintf("PCIe: %v @ %v", work.PCIeBytes, part.NodePCIeBW),
+		Name:        "PCIe: " + work.PCIeBytes.String() + " @ " + part.NodePCIeBW.String(),
 		Resource:    ResPCIe,
 		Scope:       ScopeNode,
 		TimePerTask: units.TimeToMove(work.PCIeBytes, part.NodePCIeBW),
@@ -449,7 +449,7 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 	// injection bandwidth, but the paper draws the network as a shared
 	// system ceiling (Fig 1); the per-node ratio is p-invariant either way.
 	model.AddCeiling(Ceiling{
-		Name:        fmt.Sprintf("Network: %v/node @ %v", work.NetworkBytes, part.NodeNICBW),
+		Name:        "Network: " + work.NetworkBytes.String() + "/node @ " + part.NodeNICBW.String(),
 		Resource:    ResNetwork,
 		Scope:       ScopeSystem,
 		TimePerTask: units.TimeToMove(work.NetworkBytes, part.NodeNICBW),
@@ -462,7 +462,7 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 	if bisBW, ok := m.BisectionBW[w.Partition]; ok && work.NetworkBytes > 0 {
 		vol := units.Bytes(float64(work.NetworkBytes) * float64(req) * machine.BisectionShare)
 		model.AddCeiling(Ceiling{
-			Name:        fmt.Sprintf("Bisection: %v/task @ %v", vol, bisBW),
+			Name:        "Bisection: " + vol.String() + "/task @ " + bisBW.String(),
 			Resource:    ResBisection,
 			Scope:       ScopeSystem,
 			TimePerTask: units.TimeToMove(vol, bisBW),
@@ -474,7 +474,7 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 			return nil, err
 		}
 		model.AddCeiling(Ceiling{
-			Name:        fmt.Sprintf("File System: %v @ %v", work.FSBytes, fsBW),
+			Name:        "File System: " + work.FSBytes.String() + " @ " + fsBW.String(),
 			Resource:    ResFileSystem,
 			Scope:       ScopeSystem,
 			TimePerTask: units.TimeToMove(work.FSBytes, fsBW),
@@ -490,7 +490,7 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 				w.Name, m.Name)
 		}
 		model.AddCeiling(Ceiling{
-			Name:        fmt.Sprintf("System External: %v @ %v", work.ExternalBytes, ext),
+			Name:        "System External: " + work.ExternalBytes.String() + " @ " + ext.String(),
 			Resource:    ResExternal,
 			Scope:       ScopeSystem,
 			TimePerTask: units.TimeToMove(work.ExternalBytes, ext),

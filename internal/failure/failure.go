@@ -268,6 +268,13 @@ func (s *Stream) Exp(mean float64) float64 {
 // into the seed with FNV-1a, so a task's fault sequence depends only on
 // (seed, id) — never on event interleaving or which other tasks exist.
 func TaskStream(seed uint64, taskID string) *Stream {
+	return NewStream(seed ^ TaskHash(taskID))
+}
+
+// TaskHash is the FNV-1a fold of a task id that TaskStream mixes into the
+// seed: NewStream(seed ^ TaskHash(id)) is TaskStream(seed, id). A simulator
+// that draws streams for the same tasks under many seeds folds each id once.
+func TaskHash(taskID string) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -277,7 +284,7 @@ func TaskStream(seed uint64, taskID string) *Stream {
 		h ^= uint64(taskID[i])
 		h *= fnvPrime
 	}
-	return NewStream(seed ^ h)
+	return h
 }
 
 // NodeStream derives the node-fault process stream, kept separate from task

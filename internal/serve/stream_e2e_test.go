@@ -398,3 +398,42 @@ func TestDeadlineNeverStartsEval(t *testing.T) {
 		t.Errorf("deadline_skips = %d, want >= 1", snap.DeadlineSkips)
 	}
 }
+
+// TestSweepFailuresUnfinished: a failure ensemble in which some trials
+// exhaust their attempts is a 200 carrying an "unfinished" histogram bin,
+// not a 400, and its streamed final line is the buffered body. Progress
+// snapshots count finished trials only.
+func TestSweepFailuresUnfinished(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := `{"kind":"failures","case":"lcls-cori","trials":400,"seed":7,"batch":16,` +
+		`"failure":{"task_fail_prob":0.3,"restage_rate":"1 GB/s"}}`
+
+	status, buffered, _ := post(t, ts.URL+"/v1/sweep", spec)
+	if status != http.StatusOK {
+		t.Fatalf("buffered status %d: %s", status, buffered)
+	}
+	if !bytes.Contains(buffered, []byte(`"unfinished"`)) {
+		t.Fatalf("buffered body has no unfinished bin: %s", buffered)
+	}
+	s.FlushCache()
+
+	resp, lines := streamLines(t, ts.URL+"/v1/sweep/stream", spec, "")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "cold" {
+		t.Fatalf("stream status %d X-Cache %q, want 200 cold", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	if len(lines) < 2 {
+		t.Fatalf("stream produced %d lines, want progress + result", len(lines))
+	}
+	if want := strings.TrimSuffix(string(buffered), "\n"); lines[len(lines)-1] != want {
+		t.Errorf("final stream line differs from buffered body:\n%s\nvs\n%s", lines[len(lines)-1], want)
+	}
+	for _, line := range lines[:len(lines)-1] {
+		var p progressEvent
+		if err := json.Unmarshal([]byte(line), &p); err != nil {
+			t.Fatalf("progress line is not JSON: %q: %v", line, err)
+		}
+		if p.Summary.N < 1 || p.Summary.N > p.Done {
+			t.Errorf("progress n = %d at done = %d, want finished trials within the prefix", p.Summary.N, p.Done)
+		}
+	}
+}

@@ -66,9 +66,14 @@ func (p *Plan) Analytic() bool { return p.analytic != nil }
 // same geometry — in this batch, a later batch, or a later request sharing
 // a cached plan — copies it instead of simulating.
 //
+// A trial that carries a fault model but provably draws no fault (see
+// faultFree) is served like a failure-free trial, from the analytic result
+// or the memo: its scalars are bit-identical to the model-free run.
+//
 // Concurrent RunBatch calls (and mixes with Run) are safe. The first trial
-// error aborts the batch; out holds valid results for every index before
-// the failing one.
+// error aborts the batch as a *TrialError; out holds valid results for
+// every index before the failing one, so a caller can resume the batch
+// after it.
 func (p *Plan) RunBatch(trials []Trial, out []BatchResult) error {
 	if len(out) < len(trials) {
 		return fmt.Errorf("sim: batch of %d trials needs %d result slots, got %d",
@@ -83,15 +88,33 @@ func (p *Plan) RunBatch(trials []Trial, out []BatchResult) error {
 	return err
 }
 
+// TrialError is a RunBatch trial failure: Trial is the failing trial's
+// index within the batch passed in, Err its error.
+type TrialError struct {
+	Trial int
+	Err   error
+}
+
+func (e *TrialError) Error() string { return fmt.Sprintf("sim: trial %d: %v", e.Trial, e.Err) }
+
+func (e *TrialError) Unwrap() error { return e.Err }
+
 func (r *trialRun) runBatch(p *Plan, trials []Trial, out []BatchResult) error {
+	// last is a batch-local copy of the latest memo entry read or stored, so
+	// a run of trials with one geometry skips the memo's lock and map.
+	var (
+		last     BatchResult
+		lastKey  memoKey
+		haveLast bool
+	)
 	for idx, trial := range trials {
 		fm, externalBW, externalCap, err := p.resolveTrial(trial)
 		if err != nil {
-			return fmt.Errorf("sim: trial %d: %w", idx, err)
+			return &TrialError{Trial: idx, Err: err}
 		}
-		if fm != nil {
+		if fm != nil && !p.faultFree(fm) {
 			if out[idx], err = r.runScalar(p, fm, externalBW, externalCap); err != nil {
-				return fmt.Errorf("sim: trial %d: %w", idx, err)
+				return &TrialError{Trial: idx, Err: err}
 			}
 			continue
 		}
@@ -105,18 +128,38 @@ func (r *trialRun) runBatch(p *Plan, trials []Trial, out []BatchResult) error {
 		if p.needExternal {
 			key = memoKey{bw: math.Float64bits(externalBW), cap: math.Float64bits(externalCap)}
 		}
-		if br, ok := p.memo.get(key); ok {
-			out[idx] = br
-			continue
+		if !haveLast || key != lastKey {
+			br, ok := p.memo.get(key)
+			if !ok {
+				if br, err = r.runScalar(p, nil, externalBW, externalCap); err != nil {
+					return &TrialError{Trial: idx, Err: err}
+				}
+				p.memo.put(key, br)
+			}
+			last, lastKey, haveLast = br, key, true
 		}
-		br, err := r.runScalar(p, nil, externalBW, externalCap)
-		if err != nil {
-			return fmt.Errorf("sim: trial %d: %w", idx, err)
-		}
-		p.memo.put(key, br)
-		out[idx] = br
+		out[idx] = last
 	}
 	return nil
+}
+
+// faultFree reports whether an enabled fault model provably injects nothing
+// into a trial of p, so the trial's scalars equal the failure-free run's.
+// A task's fault stream depends only on (fm.Seed, task ID), and a task
+// fails only if its first-attempt draw is below TaskFailProb; with every
+// first draw clear and no node faults, each task runs once with its
+// nominal program, no retry time accrues, and Retries, NodeFailures and
+// DominantRetry take their failure-free values (0, 0, "none").
+func (p *Plan) faultFree(fm *failure.Model) bool {
+	if fm.NodeMTBF > 0 {
+		return false
+	}
+	for _, h := range p.taskHash {
+		if failure.NewStream(fm.Seed^h).Float64() < fm.TaskFailProb {
+			return false
+		}
+	}
+	return true
 }
 
 // memoEntries bounds a plan's trial memo. The traffic that repeats a
@@ -135,7 +178,8 @@ type memoKey struct{ bw, cap uint64 }
 // trialMemo caches failure-free scalar results by resolved trial geometry.
 // Entries are never replaced or evicted, so a reader needs only the read
 // lock, and a full memo refuses inserts without taking any lock; trials
-// with a fault model or a resolve error never reach it.
+// whose fault model may draw a fault, and trials with a resolve error,
+// never reach it.
 type trialMemo struct {
 	mu   sync.RWMutex
 	m    map[memoKey]BatchResult

@@ -88,12 +88,13 @@ func (c diffCase) compile(t testing.TB) *Plan {
 
 // trials builds the case's trial set: failure-free trials first (so the
 // memo and analytic paths get coverage), then per-trial seeded failure
-// models of increasing severity.
+// models of increasing severity, then low-probability models whose trials
+// the fault-free screen mostly serves from the failure-free path.
 func (c diffCase) trials() []Trial {
 	n := 1 + int(c.Trials)%5
 	out := make([]Trial, 0, n)
 	for i := 0; i < n; i++ {
-		switch (int(c.Fail) + i) % 4 {
+		switch (int(c.Fail) + i) % 8 {
 		case 0:
 			out = append(out, Trial{})
 		case 1:
@@ -111,6 +112,8 @@ func (c diffCase) trials() []Trial {
 				panic(err)
 			}
 			out = append(out, Trial{Failures: fm})
+		case 4, 5, 6, 7:
+			out = append(out, Trial{Failures: lowProbModel((int(c.Fail)+i)%4, sweep.TrialSeed(c.Seed, i))})
 		default:
 			fs := failure.Spec{
 				TaskFailProb:      0.15,
@@ -127,6 +130,34 @@ func (c diffCase) trials() []Trial {
 		}
 	}
 	return out
+}
+
+// lowProbModel compiles the k-th low-probability fault model (k in [0, 4)):
+// p 0.005 or 0.02, with and without node MTBF, jitter and checkpointing.
+func lowProbModel(k int, seed uint64) *failure.Model {
+	fs := failure.Spec{TaskFailProb: 0.005, Seed: seed, Retry: &failure.RetrySpec{MaxAttempts: 5}}
+	switch k {
+	case 0:
+		fs.RestageRate = "1 GB/s"
+		fs.Retry.JitterFrac = 0.3
+	case 1:
+		fs.TaskFailProb = 0.02
+		fs.Retry.Checkpoint = true
+		fs.Retry.CheckpointOverhead = 0.1
+	case 2:
+		fs.TaskFailProb = 0.02
+		fs.NodeMTBFSeconds = 80
+		fs.NodeRepairSeconds = 15
+	default:
+		fs.NodeMTBFSeconds = 120
+		fs.Retry.JitterFrac = 0.5
+		fs.Retry.Checkpoint = true
+	}
+	fm, err := fs.Compile()
+	if err != nil {
+		panic(err)
+	}
+	return fm
 }
 
 // reference runs each trial through the full per-trial executor and
@@ -192,19 +223,33 @@ func TestBatchDifferentialQuick(t *testing.T) {
 		MaxCount: 60,
 		Rand:     rand.New(rand.NewSource(7)),
 	}
-	analyticHits := 0
+	analyticHits, screened, simulated := 0, 0, 0
 	if err := quick.Check(func(c diffCase) bool {
 		p := c.compile(t)
 		if p.Analytic() {
 			analyticHits++
 		}
-		checkBatchAgainstReference(t, p, c.trials(), "quick")
+		trials := c.trials()
+		for _, tr := range trials {
+			if fm := tr.Failures; fm.Enabled() {
+				if p.faultFree(fm) {
+					screened++
+				} else {
+					simulated++
+				}
+			}
+		}
+		checkBatchAgainstReference(t, p, trials, "quick")
 		return true
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if analyticHits == 0 {
 		t.Fatal("no generated plan took the analytic fast path; the differential wall is not covering it")
+	}
+	t.Logf("fault-model trials: %d screened fault-free, %d simulated", screened, simulated)
+	if screened == 0 || simulated == 0 {
+		t.Fatalf("fault-model trials: %d screened, %d simulated; the wall must cover both", screened, simulated)
 	}
 }
 

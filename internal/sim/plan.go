@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -42,6 +43,7 @@ type Plan struct {
 	preds    []int     // dependency counts by task index
 	succs    [][]int   // successor indices, in Succs' (ID-sorted) order
 	staged   []float64 // per-task external+FS payload of the nominal program
+	taskHash []uint64  // per-task failure.TaskHash of the ID, seeding fault streams
 	phOff    []int     // phase slot offsets: task i's phase j is slot phOff[i]+j
 	slotTask []int32   // the task index owning each phase slot
 	slots    int       // total phase slots (phOff[len(tasks)])
@@ -148,6 +150,7 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 	slab := make(Program, 0, defaults)
 	p.programs = make([]Program, n)
 	p.staged = make([]float64, n)
+	p.taskHash = make([]uint64, n)
 	p.phOff = make([]int, n+1)
 	for i, t := range p.tasks {
 		prog, ok := programs[t.ID]
@@ -179,6 +182,7 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 		}
 		p.programs[i] = prog
 		p.staged[i] = stagedBytes(prog)
+		p.taskHash[i] = failure.TaskHash(t.ID)
 		p.phOff[i] = p.slots
 		p.slots += len(prog)
 		p.sumNodes += t.Nodes
@@ -657,7 +661,6 @@ func (r *trialRun) submit(i int) {
 // attempt, the unmodified program.
 func (r *trialRun) startAttempt(i int) {
 	start := r.eng.Now()
-	task := r.plan.tasks[i]
 	st := &r.states[i]
 	draws := r.fm != nil && r.fm.TaskFailProb > 0
 	if !st.started {
@@ -665,7 +668,7 @@ func (r *trialRun) startAttempt(i int) {
 		st.remaining = 1
 		st.firstStart = start
 		if draws {
-			st.stream = *failure.TaskStream(r.fm.Seed, task.ID)
+			st.stream = *failure.NewStream(r.fm.Seed ^ r.plan.taskHash[i])
 		}
 	}
 	st.attempt++
@@ -819,7 +822,7 @@ func (r *trialRun) failAttempt(i int, st *taskState) {
 		return
 	}
 	if st.attempt >= r.fm.Retry.MaxAttempts {
-		r.fail(fmt.Errorf("sim: task %q failed permanently after %d attempts", task.ID, st.attempt))
+		r.fail(&exhaustedError{task: task.ID, attempts: st.attempt})
 		return
 	}
 	now := r.eng.Now()
@@ -850,6 +853,24 @@ func (r *trialRun) failAttempt(i int, st *taskState) {
 		r.fail(err)
 	}
 }
+
+// ErrPermanentFailure matches (errors.Is) the error of a trial in which a
+// task failed on every attempt its retry policy allows. The error's message
+// names the task and its attempt count.
+var ErrPermanentFailure = errors.New("sim: task failed permanently")
+
+// exhaustedError is the permanent-failure error: its message is the task's,
+// and it unwraps to ErrPermanentFailure.
+type exhaustedError struct {
+	task     string
+	attempts int
+}
+
+func (e *exhaustedError) Error() string {
+	return fmt.Sprintf("sim: task %q failed permanently after %d attempts", e.task, e.attempts)
+}
+
+func (e *exhaustedError) Unwrap() error { return ErrPermanentFailure }
 
 // transfer moves the phase bytes over a shared link, scaled by efficiency
 // (an 0.5-efficient transfer moves bytes/0.5 effective volume).

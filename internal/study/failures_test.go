@@ -3,11 +3,15 @@ package study
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"wroofline/internal/failure"
 	"wroofline/internal/report"
+	"wroofline/internal/sim"
+	"wroofline/internal/sweep"
 )
 
 func failuresSpec(workers int) *Spec {
@@ -124,5 +128,124 @@ func TestFailuresExampleRoundTrips(t *testing.T) {
 	spec.Trials = 4
 	if _, err := Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// unfinishedSpec is a failure ensemble in which some trials exhaust their
+// attempts: at p = 0.3 a task fails all three attempts with probability
+// 0.3^3, so about one trial of six tasks in seven is unfinished — more
+// than the trials whose retries hammered backoff or that never retried,
+// so the unfinished bin sorts into the middle of the histogram.
+func unfinishedSpec(workers, batch int) *Spec {
+	return &Spec{
+		Kind: "failures", Case: "lcls-cori", Trials: 400, Seed: 7, Workers: workers, Batch: batch,
+		Failure: &failure.Spec{TaskFailProb: 0.3, RestageRate: "1 GB/s",
+			Retry: &failure.RetrySpec{MaxAttempts: 3}},
+	}
+}
+
+// TestFailuresUnfinishedBin: trials that exhaust their attempts land in an
+// "unfinished" histogram bin instead of failing the ensemble; the makespan
+// and retry aggregates and every progress snapshot count finished trials
+// only; and the bytes are the same at any worker count, batch size, and
+// streamed or buffered.
+func TestFailuresUnfinishedBin(t *testing.T) {
+	spec := unfinishedSpec(1, 0)
+	// Independent reference: which trials exhaust, one trial at a time.
+	plan, err := compileCase(nil, spec.Case)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := spec.Failure.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfinished := make([]bool, spec.Trials)
+	want := 0
+	for i := range unfinished {
+		m := *model
+		m.Seed = sweep.TrialSeed(spec.Seed, i)
+		_, err := plan.RunScalar(sim.Trial{Failures: &m})
+		if err != nil && !errors.Is(err, sim.ErrPermanentFailure) {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if unfinished[i] = err != nil; unfinished[i] {
+			want++
+		}
+	}
+	if want == 0 || want == spec.Trials {
+		t.Fatalf("%d of %d trials unfinished; the spec must mix both", want, spec.Trials)
+	}
+
+	var snaps []Progress
+	tables, err := RunStreamCached(context.Background(), spec, nil, func(p Progress) { snaps = append(snaps, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := renderTables(t, tables)
+	if !strings.Contains(got, fmt.Sprintf(`["unfinished","%d"]`, want)) {
+		t.Errorf("histogram lacks the unfinished bin of %d: %s", want, got)
+	}
+	if n := tables[0].Rows()[0][0]; n != fmt.Sprint(spec.Trials-want) {
+		t.Errorf("makespan table n = %s, want %d finished trials", n, spec.Trials-want)
+	}
+	// Every trial is in exactly one bin, and the bins keep the histogram's
+	// order: count descending, then label.
+	runs, prev := 0, sweep.HistBin{Count: spec.Trials + 1}
+	for _, row := range tables[3].Rows() {
+		bin := sweep.HistBin{Label: row[0]}
+		fmt.Sscan(row[1], &bin.Count)
+		if bin.Count > prev.Count || bin.Count == prev.Count && bin.Label < prev.Label {
+			t.Errorf("histogram bin %+v sorts after %+v", bin, prev)
+		}
+		runs += bin.Count
+		prev = bin
+	}
+	if runs != spec.Trials {
+		t.Errorf("histogram counts %d runs, want %d", runs, spec.Trials)
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no progress snapshots")
+	}
+	for _, p := range snaps {
+		finished := 0
+		for _, u := range unfinished[:p.Done] {
+			if !u {
+				finished++
+			}
+		}
+		if p.Summary.N != finished {
+			t.Errorf("snapshot at %d: n = %d, want %d finished", p.Done, p.Summary.N, finished)
+		}
+	}
+
+	for _, g := range [][2]int{{2, 0}, {4, 7}, {1, 1}, {3, 1000}} {
+		other, err := Run(context.Background(), unfinishedSpec(g[0], g[1]))
+		if err != nil {
+			t.Fatalf("workers=%d batch=%d: %v", g[0], g[1], err)
+		}
+		if o := renderTables(t, other); o != got {
+			t.Errorf("workers=%d batch=%d changed the bytes:\n%s\nvs\n%s", g[0], g[1], o, got)
+		}
+	}
+}
+
+// TestFailuresAllUnfinishedError: an ensemble that finishes no trial fails
+// as it always has, with trial 0's error from the first chunk.
+func TestFailuresAllUnfinishedError(t *testing.T) {
+	for _, batch := range []int{0, 5} {
+		spec := &Spec{
+			Kind: "failures", Case: "lcls-cori", Trials: 20, Seed: 7, Workers: 1, Batch: batch,
+			Failure: &failure.Spec{TaskFailProb: 0.99, Retry: &failure.RetrySpec{MaxAttempts: 2}},
+		}
+		_, err := Run(context.Background(), spec)
+		if err == nil || !errors.Is(err, sim.ErrPermanentFailure) {
+			t.Fatalf("batch %d: err = %v, want a permanent failure", batch, err)
+		}
+		chunk := sweep.ChunkSize(spec.Trials, 1, batch)
+		prefix := fmt.Sprintf("sweep: trials [0,%d): sim: trial 0: sim: task ", chunk)
+		if !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), "failed permanently after 2 attempts") {
+			t.Errorf("batch %d: err = %q, want %q...", batch, err, prefix)
+		}
 	}
 }

@@ -101,40 +101,60 @@ const summaryCap = 65536
 // shape for a result type whose makespan value projects out: it throttles,
 // summarizes the stable prefix (stride-sampled past summaryCap, with
 // Summary.N reporting the full prefix size it estimates), and forwards
-// the snapshot. A nil emit yields a nil callback, turning the progress
-// path off entirely.
-func progressFn[T any](total int, emit func(Progress), value func(T) float64) func(done int, prefix []T) {
+// the snapshot. value reports false for a result with no makespan (an
+// unfinished failure trial); such results stay out of the summary and its
+// N, and a prefix without any makespan emits nothing. A nil emit yields a
+// nil callback, turning the progress path off entirely.
+func progressFn[T any](total int, emit func(Progress), value func(T) (float64, bool)) func(done int, prefix []T) {
 	if emit == nil {
 		return nil
 	}
-	th := newProgressThrottle(total)
 	bufCap := total
 	if bufCap > summaryCap+1 {
 		bufCap = summaryCap + 1
 	}
-	buf := make([]float64, 0, bufCap)
-	// One Summarizer per run, reserved for the largest snapshot so all ~64
-	// of them sort in place. Callbacks are serialized under the frontier
-	// lock, so the shared scratch needs no locking.
-	var z sweep.Summarizer
-	z.Reserve(bufCap)
+	// The run's snapshot state is one allocation. The Summarizer is
+	// reserved for the largest snapshot so all ~64 of them sort in place;
+	// callbacks are serialized under the frontier lock, so the shared
+	// scratch needs no locking. counted and kept tally the prefix for
+	// stride-sampled snapshots, which still report every kept result in N;
+	// prefixes only grow, so each result is tallied once.
+	st := &struct {
+		th            progressThrottle
+		buf           []float64
+		z             sweep.Summarizer
+		counted, kept int
+	}{th: *newProgressThrottle(total), buf: make([]float64, 0, bufCap)}
+	st.z.Reserve(bufCap)
 	return func(done int, prefix []T) {
-		if !th.take(done) {
+		if !st.th.take(done) {
 			return
 		}
 		stride := 1
 		if done > summaryCap {
 			stride = (done + summaryCap - 1) / summaryCap
 		}
-		buf = buf[:0]
+		buf := st.buf[:0]
 		for i := 0; i < len(prefix); i += stride {
-			buf = append(buf, value(prefix[i]))
+			if v, ok := value(prefix[i]); ok {
+				buf = append(buf, v)
+			}
 		}
-		s, err := z.Summarize(buf)
+		st.buf = buf
+		n := len(buf)
+		if stride > 1 {
+			for ; st.counted < done; st.counted++ {
+				if _, ok := value(prefix[st.counted]); ok {
+					st.kept++
+				}
+			}
+			n = st.kept
+		}
+		s, err := st.z.Summarize(buf)
 		if err != nil {
 			return
 		}
-		s.N = done
+		s.N = n
 		emit(Progress{Done: done, Total: total, Summary: s})
 	}
 }

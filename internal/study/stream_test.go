@@ -152,7 +152,7 @@ func TestProgressSnapshotAllocFloor(t *testing.T) {
 		makespans[i] = float64((i*7919)%997) + 0.5
 	}
 	var last Progress
-	snapshot := progressFn(total, func(p Progress) { last = p }, func(v float64) float64 { return v })
+	snapshot := progressFn(total, func(p Progress) { last = p }, func(v float64) (float64, bool) { return v, true })
 	done := 256
 	snapshot(done, makespans[:done])
 	allocs := testing.AllocsPerRun(50, func() {

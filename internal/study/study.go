@@ -14,7 +14,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"wroofline/internal/archetype"
@@ -268,7 +270,7 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 			}
 			return nil
 		},
-		progressFn(spec.Trials, emit, func(v float64) float64 { return v }))
+		progressFn(spec.Trials, emit, func(v float64) (float64, bool) { return v, true }))
 	if err != nil {
 		return nil, err
 	}
@@ -327,18 +329,30 @@ func (cs *chunkScratch) put() {
 	chunkPool.Put(cs)
 }
 
-// failureTrial is one failure-ensemble outcome.
+// failureTrial is one failure-ensemble outcome. An unfinished trial had a
+// task fail on every attempt its retry policy allows, so it has no
+// makespan.
 type failureTrial struct {
-	makespan float64
-	retries  int
-	label    string
+	makespan   float64
+	retries    int32
+	unfinished bool
+	label      string
 }
+
+// unfinishedLabel is the dominant-retry histogram bin of unfinished trials.
+const unfinishedLabel = "unfinished"
 
 // runFailures simulates the case Trials times under the failure model, each
 // trial with an independent fault sequence seeded from (Seed, trial), and
 // reports the makespan/TPS degradation distribution, the retry-count
 // distribution, and the histogram of which phase the retries hammered. A
 // non-nil emit receives throttled partial makespan summaries.
+//
+// A trial in which a task exhausts its attempts is unfinished: it lands in
+// the histogram's "unfinished" bin and stays out of the makespan and retry
+// aggregates and the progress snapshots, so their n counts finished trials.
+// Only an ensemble with no finished trial fails, with the error trial 0
+// reported.
 func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("failures spec needs positive trials, got %d", spec.Trials)
@@ -359,15 +373,27 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := plan.Run(sim.Trial{})
-	if err != nil {
+	// The baseline is one failure-free trial through the batch executor, so
+	// the plan's analytic result or trial memo serves it; its makespan and
+	// throughput are bit-identical to a full Run's.
+	var base [1]sim.BatchResult
+	if err := plan.RunBatch([]sim.Trial{{}}, base[:]); err != nil {
+		var te *sim.TrialError
+		if errors.As(err, &te) {
+			err = te.Err
+		}
 		return nil, fmt.Errorf("baseline simulation: %w", err)
 	}
+	baseline := base[0]
 
 	// Trials run through the batch executor in chunks: one scratch per chunk,
 	// no per-trial Recorder or Result maps. Each trial still carries its own
 	// fault model seeded from (Seed, trial) — chunk geometry never touches
 	// the random streams, so outcomes match the per-trial path bit for bit.
+	// A chunk resumes after an unfinished trial; trial 0's error, wrapped
+	// the way the sweep wraps a failed chunk, is kept for the ensemble that
+	// never finishes a trial.
+	var err0 error
 	trials, err := sweep.MapChunksProgress(ctx, spec.Trials, spec.Workers, spec.Batch,
 		func(ctx context.Context, lo, hi int, out []failureTrial) error {
 			cs := getChunkScratch(hi - lo)
@@ -381,37 +407,64 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 				cs.models[i].Seed = sweep.TrialSeed(spec.Seed, lo+i)
 				cs.trials[i] = sim.Trial{Failures: &cs.models[i]}
 			}
-			if err := plan.RunBatch(cs.trials, cs.brs); err != nil {
-				return err
-			}
-			for i, br := range cs.brs {
-				out[i] = failureTrial{
-					makespan: br.Makespan,
-					retries:  br.Retries,
-					label:    br.DominantRetry,
+			for start := 0; start < len(cs.trials); {
+				end := len(cs.trials)
+				if err := plan.RunBatch(cs.trials[start:], cs.brs[start:]); err != nil {
+					var te *sim.TrialError
+					if !errors.As(err, &te) || !errors.Is(err, sim.ErrPermanentFailure) {
+						return err
+					}
+					end = start + te.Trial
+					out[end] = failureTrial{unfinished: true}
+					if lo+end == 0 {
+						err0 = fmt.Errorf("sweep: trials [%d,%d): %w", lo, hi, err)
+					}
 				}
+				for i := start; i < end; i++ {
+					br := &cs.brs[i]
+					out[i] = failureTrial{
+						makespan: br.Makespan,
+						retries:  int32(br.Retries),
+						label:    br.DominantRetry,
+					}
+				}
+				start = end + 1
 			}
 			return nil
 		},
-		progressFn(spec.Trials, emit, func(t failureTrial) float64 { return t.makespan }))
+		progressFn(spec.Trials, emit, func(t failureTrial) (float64, bool) { return t.makespan, !t.unfinished }))
 	if err != nil {
 		return nil, err
 	}
-	makespans, err := sweep.NewAgg(spec.Trials)
+	finished := 0
+	for _, tr := range trials {
+		if !tr.unfinished {
+			finished++
+		}
+	}
+	if finished == 0 {
+		return nil, err0
+	}
+	makespans, err := sweep.NewAgg(finished)
 	if err != nil {
 		return nil, err
 	}
-	retries, err := sweep.NewAgg(spec.Trials)
+	retries, err := sweep.NewAgg(finished)
 	if err != nil {
 		return nil, err
 	}
-	for i, tr := range trials {
+	i := 0
+	for _, tr := range trials {
+		if tr.unfinished {
+			continue
+		}
 		if err := makespans.Add(i, tr.makespan, tr.label); err != nil {
 			return nil, err
 		}
 		if err := retries.Add(i, float64(tr.retries), ""); err != nil {
 			return nil, err
 		}
+		i++
 	}
 	ms, err := makespans.Summary()
 	if err != nil {
@@ -458,7 +511,18 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	}
 
 	hist := report.NewTable("Dominant retry phase histogram", "phase", "runs")
-	for _, bin := range makespans.Hist() {
+	bins := makespans.Hist()
+	if unfinished := len(trials) - finished; unfinished > 0 {
+		// Insert the bin where Hist's order (count descending, then label)
+		// puts it.
+		at := 0
+		for at < len(bins) && (bins[at].Count > unfinished ||
+			bins[at].Count == unfinished && bins[at].Label < unfinishedLabel) {
+			at++
+		}
+		bins = slices.Insert(bins, at, sweep.HistBin{Label: unfinishedLabel, Count: unfinished})
+	}
+	for _, bin := range bins {
 		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
 			return nil, err
 		}
@@ -704,7 +768,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 			}
 			return nil
 		},
-		progressFn(spec.Count, emit, func(c corpusScenario) float64 { return c.makespan }))
+		progressFn(spec.Count, emit, func(c corpusScenario) (float64, bool) { return c.makespan, true }))
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"wroofline/internal/units"
 	"wroofline/internal/workflow"
@@ -344,13 +345,15 @@ func (b *builder) dep(from, to string) error {
 // chain: Depth tasks in a single line.
 func (b *builder) chain() error {
 	d := b.spec.Depth
-	for i := 0; i < d; i++ {
-		if err := b.task(fmt.Sprintf("t%04d", i)); err != nil {
+	ids := make([]string, d)
+	for i := range ids {
+		ids[i] = taskID("t", i)
+		if err := b.task(ids[i]); err != nil {
 			return err
 		}
 	}
 	for i := 1; i < d; i++ {
-		if err := b.dep(fmt.Sprintf("t%04d", i-1), fmt.Sprintf("t%04d", i)); err != nil {
+		if err := b.dep(ids[i-1], ids[i]); err != nil {
 			return err
 		}
 	}
@@ -362,17 +365,17 @@ func (b *builder) fanout() error {
 	if err := b.task("source"); err != nil {
 		return err
 	}
-	w := b.spec.Width
-	for i := 0; i < w; i++ {
-		if err := b.task(fmt.Sprintf("work%04d", i)); err != nil {
+	work := make([]string, b.spec.Width)
+	for i := range work {
+		work[i] = taskID("work", i)
+		if err := b.task(work[i]); err != nil {
 			return err
 		}
 	}
 	if err := b.task("sink"); err != nil {
 		return err
 	}
-	for i := 0; i < w; i++ {
-		id := fmt.Sprintf("work%04d", i)
+	for _, id := range work {
 		if err := b.dep("source", id); err != nil {
 			return err
 		}
@@ -386,14 +389,17 @@ func (b *builder) fanout() error {
 // diamond: Depth chained diamonds, each split -> Width branches -> merge.
 func (b *builder) diamond() error {
 	w, d := b.spec.Width, b.spec.Depth
+	branches := make([]string, w)
+	prevMerge := ""
 	for k := 0; k < d; k++ {
-		split := fmt.Sprintf("split%04d", k)
-		merge := fmt.Sprintf("merge%04d", k)
+		split := taskID("split", k)
+		merge := taskID("merge", k)
 		if err := b.task(split); err != nil {
 			return err
 		}
-		for i := 0; i < w; i++ {
-			if err := b.task(fmt.Sprintf("branch%04d_%04d", k, i)); err != nil {
+		for i := range branches {
+			branches[i] = taskID2("branch", k, "_", i)
+			if err := b.task(branches[i]); err != nil {
 				return err
 			}
 		}
@@ -401,12 +407,11 @@ func (b *builder) diamond() error {
 			return err
 		}
 		if k > 0 {
-			if err := b.dep(fmt.Sprintf("merge%04d", k-1), split); err != nil {
+			if err := b.dep(prevMerge, split); err != nil {
 				return err
 			}
 		}
-		for i := 0; i < w; i++ {
-			id := fmt.Sprintf("branch%04d_%04d", k, i)
+		for _, id := range branches {
 			if err := b.dep(split, id); err != nil {
 				return err
 			}
@@ -414,6 +419,7 @@ func (b *builder) diamond() error {
 				return err
 			}
 		}
+		prevMerge = merge
 	}
 	return nil
 }
@@ -424,23 +430,27 @@ func (b *builder) diamond() error {
 // imgtbl -> add -> shrink -> jpeg tail. 3W+4 tasks over 8 levels.
 func (b *builder) montage() error {
 	w := b.spec.Width
-	for i := 0; i < w; i++ {
-		if err := b.task(fmt.Sprintf("project%04d", i)); err != nil {
+	// One slab holds the W projection, W-1 difference and W background IDs.
+	ids := make([]string, 3*w-1)
+	project, diff, bg := ids[:w], ids[w:2*w-1], ids[2*w-1:]
+	for i := range project {
+		project[i] = taskID("project", i)
+		if err := b.task(project[i]); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < w-1; i++ {
-		if err := b.task(fmt.Sprintf("diff%04d", i)); err != nil {
+	for i := range diff {
+		diff[i] = taskID("diff", i)
+		if err := b.task(diff[i]); err != nil {
 			return err
 		}
 	}
-	for _, id := range []string{"bgmodel"} {
-		if err := b.task(id); err != nil {
-			return err
-		}
+	if err := b.task("bgmodel"); err != nil {
+		return err
 	}
-	for i := 0; i < w; i++ {
-		if err := b.task(fmt.Sprintf("background%04d", i)); err != nil {
+	for i := range bg {
+		bg[i] = taskID("background", i)
+		if err := b.task(bg[i]); err != nil {
 			return err
 		}
 	}
@@ -449,27 +459,25 @@ func (b *builder) montage() error {
 			return err
 		}
 	}
-	for i := 0; i < w-1; i++ {
-		diff := fmt.Sprintf("diff%04d", i)
-		if err := b.dep(fmt.Sprintf("project%04d", i), diff); err != nil {
+	for i, id := range diff {
+		if err := b.dep(project[i], id); err != nil {
 			return err
 		}
-		if err := b.dep(fmt.Sprintf("project%04d", i+1), diff); err != nil {
+		if err := b.dep(project[i+1], id); err != nil {
 			return err
 		}
-		if err := b.dep(diff, "bgmodel"); err != nil {
+		if err := b.dep(id, "bgmodel"); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < w; i++ {
-		bg := fmt.Sprintf("background%04d", i)
-		if err := b.dep("bgmodel", bg); err != nil {
+	for i, id := range bg {
+		if err := b.dep("bgmodel", id); err != nil {
 			return err
 		}
-		if err := b.dep(fmt.Sprintf("project%04d", i), bg); err != nil {
+		if err := b.dep(project[i], id); err != nil {
 			return err
 		}
-		if err := b.dep(bg, "imgtbl"); err != nil {
+		if err := b.dep(id, "imgtbl"); err != nil {
 			return err
 		}
 	}
@@ -489,9 +497,13 @@ func (b *builder) epigenomics() error {
 	if err := b.task("split"); err != nil {
 		return err
 	}
+	// Lane l's stage s is ids[l*d+s].
+	ids := make([]string, w*d)
 	for lane := 0; lane < w; lane++ {
 		for stage := 0; stage < d; stage++ {
-			if err := b.task(fmt.Sprintf("lane%04d_s%04d", lane, stage)); err != nil {
+			id := taskID2("lane", lane, "_s", stage)
+			ids[lane*d+stage] = id
+			if err := b.task(id); err != nil {
 				return err
 			}
 		}
@@ -502,17 +514,16 @@ func (b *builder) epigenomics() error {
 		}
 	}
 	for lane := 0; lane < w; lane++ {
-		first := fmt.Sprintf("lane%04d_s%04d", lane, 0)
-		if err := b.dep("split", first); err != nil {
+		stages := ids[lane*d : (lane+1)*d]
+		if err := b.dep("split", stages[0]); err != nil {
 			return err
 		}
 		for stage := 1; stage < d; stage++ {
-			if err := b.dep(fmt.Sprintf("lane%04d_s%04d", lane, stage-1),
-				fmt.Sprintf("lane%04d_s%04d", lane, stage)); err != nil {
+			if err := b.dep(stages[stage-1], stages[stage]); err != nil {
 				return err
 			}
 		}
-		if err := b.dep(fmt.Sprintf("lane%04d_s%04d", lane, d-1), "merge"); err != nil {
+		if err := b.dep(stages[d-1], "merge"); err != nil {
 			return err
 		}
 	}
@@ -522,4 +533,29 @@ func (b *builder) epigenomics() error {
 		}
 	}
 	return nil
+}
+
+// taskID renders prefix followed by i zero-padded to four digits: exactly
+// fmt.Sprintf(prefix+"%04d", i) for i >= 0, built on the stack and copied
+// into the string in one allocation.
+func taskID(prefix string, i int) string {
+	var buf [32]byte
+	return string(appendPad4(append(buf[:0], prefix...), i))
+}
+
+// taskID2 is taskID for two indices: fmt.Sprintf(prefix+"%04d"+sep+"%04d",
+// i, j) for i, j >= 0.
+func taskID2(prefix string, i int, sep string, j int) string {
+	var buf [32]byte
+	b := appendPad4(append(buf[:0], prefix...), i)
+	return string(appendPad4(append(b, sep...), j))
+}
+
+// appendPad4 appends i >= 0 in decimal, zero-padded to at least four
+// digits (the %04d verb).
+func appendPad4(b []byte, i int) []byte {
+	for w := 1000; w > 1 && i < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
 }

@@ -2,6 +2,7 @@ package wfgen
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -144,4 +145,37 @@ func TestSpecRoundTrip(t *testing.T) {
 	if *s != *s2 {
 		t.Errorf("round trip drifted: %+v vs %+v", s, s2)
 	}
+}
+
+// taskID and taskID2 must render exactly what the %04d verb renders, past
+// four digits too, for every ID prefix the families use, in one allocation.
+func TestTaskIDMatchesSprintf(t *testing.T) {
+	for _, prefix := range []string{"t", "work", "split", "merge", "project", "diff", "background"} {
+		for i := 0; i <= 12000; i++ {
+			if got, want := taskID(prefix, i), fmt.Sprintf(prefix+"%04d", i); got != want {
+				t.Fatalf("taskID(%q, %d) = %q, want %q", prefix, i, got, want)
+			}
+		}
+	}
+	edges := []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12000}
+	for _, f := range []struct{ prefix, sep string }{{"branch", "_"}, {"lane", "_s"}} {
+		for i := 0; i <= 12000; i++ {
+			for _, j := range edges {
+				for _, ij := range [][2]int{{i, j}, {j, i}} {
+					got := taskID2(f.prefix, ij[0], f.sep, ij[1])
+					if want := fmt.Sprintf(f.prefix+"%04d"+f.sep+"%04d", ij[0], ij[1]); got != want {
+						t.Fatalf("taskID2(%q, %d, %q, %d) = %q, want %q", f.prefix, ij[0], f.sep, ij[1], got, want)
+					}
+				}
+			}
+		}
+	}
+	var sink string
+	if a := testing.AllocsPerRun(100, func() { sink = taskID("background", 12000) }); a != 1 {
+		t.Errorf("taskID allocates %v times, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink = taskID2("branch", 10000, "_", 12000) }); a != 1 {
+		t.Errorf("taskID2 allocates %v times, want 1", a)
+	}
+	_ = sink
 }

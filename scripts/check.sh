@@ -35,11 +35,25 @@ else
 fi
 
 # The batch-executor differential wall is the correctness proof for the
-# Monte Carlo fast path and the plan's trial memo; run it as a named gate
-# (race + quick) so a regression is attributed immediately rather than
-# buried in the full run.
+# Monte Carlo fast path, the plan's trial memo and the fault-free screen
+# that serves failure trials from it; run it as a named gate (race +
+# quick) so a regression is attributed immediately rather than buried in
+# the full run.
 echo "== batch differential wall (race) =="
-if go test -race ./internal/sim -run 'TestBatchDifferential|TestAnalytic|TestPlanMemo' -count=1; then
+if go test -race ./internal/sim -run 'TestBatchDifferential|TestAnalytic|TestPlanMemo|TestFaultFreeScreen' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
+# The failure exhaustion wall: a trial whose task uses up its attempts
+# surfaces from RunBatch as an indexed, resumable error, and a failure
+# ensemble reports it in an "unfinished" bin (buffered and streamed alike)
+# instead of failing the whole request.
+echo "== failure exhaustion wall (race) =="
+if go test -race ./internal/sim -run 'TestRunBatchExhausted|TestPermanentFailure' -count=1 &&
+   go test -race ./internal/study -run 'TestFailuresUnfinished|TestFailuresAllUnfinished' -count=1 &&
+   go test -race ./internal/serve -run 'TestSweepFailuresUnfinished' -count=1; then
     echo "ok"
 else
     fail=1
