@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	if *batch >= 0 {
 		spec.Batch = *batch
 	}
-	tables, err := study.Run(ctx, spec)
+	tables, err := study.RunStreamCached(ctx, spec, nil, nil)
 	if err != nil {
 		return err
 	}

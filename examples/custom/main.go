@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -105,13 +106,17 @@ func main() {
 		Degraded: pm.ExternalBW / 5,
 		PBad:     0.3,
 	}
-	dist, err := contention.MonteCarlo(100, 2024, model2, func(rate units.ByteRate) (float64, error) {
-		day, err := sim.Run(w, nil, sim.Config{Machine: pm, ExternalBW: rate})
-		if err != nil {
-			return 0, err
-		}
-		return day.Makespan, nil
-	})
+	dist, err := contention.MonteCarlo(context.Background(), 100, 2024, 1, 0, model2,
+		func(days []units.ByteRate, out []float64) error {
+			for i, rate := range days {
+				day, err := sim.Run(w, nil, sim.Config{Machine: pm, ExternalBW: rate})
+				if err != nil {
+					return err
+				}
+				out[i] = day.Makespan
+			}
+			return nil
+		}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,44 +7,47 @@ import (
 	"strings"
 	"testing"
 
+	"wroofline/internal/sweep"
 	"wroofline/internal/units"
 )
 
-// The chunked Monte Carlo must reproduce MonteCarloEnsemble bit for bit at
-// any worker count and batch size: day sampling depends only on (seed, day),
-// never on chunk geometry.
+// The chunked Monte Carlo must reproduce a per-day reference bit for bit
+// at any worker count and batch size: day sampling depends only on (seed,
+// day), never on chunk geometry.
 func TestMonteCarloEnsembleBatchInvariance(t *testing.T) {
 	model := Lognormal{Base: 1 * units.GBPS, Mu: 0.3, Sigma: 0.6}
-	perDay := func(rate units.ByteRate) (float64, error) {
+	day := func(rate units.ByteRate) (float64, error) {
 		return 1e12 / float64(rate), nil
 	}
-	base, err := MonteCarloEnsemble(context.Background(), 300, 42, 1, model, perDay)
+	// The reference samples and evaluates each day on its own, in day
+	// order, from the day's own (seed, day) stream.
+	samples := make([]float64, 300)
+	for i := range samples {
+		v, err := day(model.Sample(NewRNG(sweep.TrialSeed(42, i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples[i] = v
+	}
+	base, err := NewDistribution(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, batch := range []int{1, 7, 300, 1000, 0} { // 0 = auto
-			d, err := MonteCarloEnsembleBatch(context.Background(), 300, 42, workers, batch, model,
-				func(days []units.ByteRate, out []float64) error {
-					for i, rate := range days {
-						v, err := perDay(rate)
-						if err != nil {
-							return err
-						}
-						out[i] = v
-					}
-					return nil
-				})
+			d, err := MonteCarlo(context.Background(), 300, 42, workers, batch, model, perDay(day), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d.N() != base.N() || d.Mean() != base.Mean() || d.Min() != base.Min() || d.Max() != base.Max() {
-				t.Fatalf("workers=%d batch=%d: distribution differs from per-day ensemble", workers, batch)
+				t.Fatalf("workers=%d batch=%d: distribution differs from per-day reference", workers, batch)
 			}
-			p99a, _ := base.Percentile(99)
-			p99b, _ := d.Percentile(99)
-			if p99a != p99b {
-				t.Fatalf("workers=%d batch=%d: p99 %v != %v", workers, batch, p99b, p99a)
+			for _, p := range []float64{50, 90, 99} {
+				a, _ := base.Percentile(p)
+				b, _ := d.Percentile(p)
+				if a != b {
+					t.Fatalf("workers=%d batch=%d: p%v %v != %v", workers, batch, p, b, a)
+				}
 			}
 		}
 	}
@@ -53,21 +56,21 @@ func TestMonteCarloEnsembleBatchInvariance(t *testing.T) {
 func TestMonteCarloEnsembleBatchErrors(t *testing.T) {
 	ok := func([]units.ByteRate, []float64) error { return nil }
 	model := TwoState{Base: 1, Degraded: 1, PBad: 0}
-	if _, err := MonteCarloEnsembleBatch(context.Background(), 0, 1, 1, 1, model, ok); err == nil {
+	if _, err := MonteCarlo(context.Background(), 0, 1, 1, 1, model, ok, nil); err == nil {
 		t.Error("zero samples should fail")
 	}
-	if _, err := MonteCarloEnsembleBatch(context.Background(), 10, 1, 1, 1, nil, ok); err == nil {
+	if _, err := MonteCarlo(context.Background(), 10, 1, 1, 1, nil, ok, nil); err == nil {
 		t.Error("nil sampler should fail")
 	}
-	if _, err := MonteCarloEnsembleBatch(context.Background(), 10, 1, 1, 1, model, nil); err == nil {
+	if _, err := MonteCarlo(context.Background(), 10, 1, 1, 1, model, nil, nil); err == nil {
 		t.Error("nil run should fail")
 	}
 
 	boom := errors.New("boom")
-	_, err := MonteCarloEnsembleBatch(context.Background(), 30, 7, 1, 10, model,
+	_, err := MonteCarlo(context.Background(), 30, 7, 1, 10, model,
 		func(days []units.ByteRate, out []float64) error {
 			return boom
-		})
+		}, nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -77,7 +80,7 @@ func TestMonteCarloEnsembleBatchErrors(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MonteCarloEnsembleBatch(ctx, 1000, 1, 2, 10, model, ok); err == nil || !errors.Is(err, context.Canceled) {
+	if _, err := MonteCarlo(ctx, 1000, 1, 2, 10, model, ok, nil); err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

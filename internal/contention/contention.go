@@ -177,22 +177,12 @@ func (d *Distribution) Mean() float64 {
 }
 
 // Percentile returns the p-quantile (0 <= p <= 100) by nearest-rank with
-// linear interpolation.
+// linear interpolation (sweep.Quantile).
 func (d *Distribution) Percentile(p float64) (float64, error) {
 	if p < 0 || p > 100 || math.IsNaN(p) {
 		return 0, fmt.Errorf("contention: percentile must be in [0,100], got %v", p)
 	}
-	if len(d.sorted) == 1 {
-		return d.sorted[0], nil
-	}
-	pos := p / 100 * float64(len(d.sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return d.sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return d.sorted[lo]*(1-frac) + d.sorted[hi]*frac, nil
+	return sweep.Quantile(d.sorted, p), nil
 }
 
 // TailRatio returns P99/P50 — the "tail at scale" figure of merit for the
@@ -212,66 +202,24 @@ func (d *Distribution) TailRatio() (float64, error) {
 	return p99 / p50, nil
 }
 
-// MonteCarlo draws n days from the sampler and evaluates run(rate) — e.g.
-// a simulator invocation returning the day's makespan — collecting the
-// results into a distribution. It is the serial-API wrapper over
-// MonteCarloEnsemble: one worker, background context, same determinism
-// guarantee.
-func MonteCarlo(n int, seed uint64, s Sampler, run func(units.ByteRate) (float64, error)) (*Distribution, error) {
-	return MonteCarloEnsemble(context.Background(), n, seed, 1, s, run)
-}
-
-// MonteCarloEnsemble runs the Monte Carlo on the sweep worker pool: n
-// independent day trials fan out across up to workers goroutines
-// (sweep.Workers semantics: <= 0 means GOMAXPROCS). Day i's RNG is seeded
-// from (seed, i) via sweep.TrialSeed, so the distribution is bit-identical
-// at any worker count; cancelling ctx aborts the remaining trials.
-func MonteCarloEnsemble(ctx context.Context, n int, seed uint64, workers int, s Sampler, run func(units.ByteRate) (float64, error)) (*Distribution, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("contention: need a positive sample count, got %d", n)
-	}
-	if s == nil || run == nil {
-		return nil, fmt.Errorf("contention: nil sampler or run function")
-	}
-	samples, err := sweep.Map(ctx, n, workers, func(_ context.Context, day int) (float64, error) {
-		rng := NewRNG(sweep.TrialSeed(seed, day))
-		rate := s.Sample(rng)
-		if rate <= 0 {
-			return 0, fmt.Errorf("contention: sampler produced non-positive rate %v", float64(rate))
-		}
-		v, err := run(rate)
-		if err != nil {
-			return 0, fmt.Errorf("contention: day %d: %w", day, err)
-		}
-		return v, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewDistribution(samples)
-}
-
-// MonteCarloEnsembleBatch is MonteCarloEnsemble with chunked evaluation: the
-// n day trials are split into contiguous chunks of sweep.ChunkSize(n,
-// workers, batch) days and run delivers each chunk's day rates in one call
-// (the slice is reused once run returns), filling one makespan per day —
-// the shape a batch simulator executor (sim.Plan.RunBatch) consumes without
-// per-day dispatch overhead.
+// MonteCarlo draws n days from the sampler and evaluates their makespans
+// in contiguous chunks of sweep.ChunkSize(n, workers, batch) days on the
+// sweep scheduler (sweep.Workers semantics: workers <= 0 means GOMAXPROCS).
+// run receives each chunk's day rates in one call (the slice is reused once
+// run returns) and fills one makespan per day — the shape a batch simulator
+// executor (sim.Plan.RunBatch) consumes without per-day dispatch overhead;
+// a per-day evaluator simply loops over the chunk.
 //
-// Day sampling is unchanged: day i's RNG is still seeded from (seed, i) via
-// sweep.TrialSeed regardless of chunk geometry, so the distribution is
-// bit-identical to MonteCarloEnsemble at any worker count and batch size.
-func MonteCarloEnsembleBatch(ctx context.Context, n int, seed uint64, workers, batch int, s Sampler, run func(days []units.ByteRate, out []float64) error) (*Distribution, error) {
-	return MonteCarloEnsembleBatchProgress(ctx, n, seed, workers, batch, s, run, nil)
-}
-
-// MonteCarloEnsembleBatchProgress is MonteCarloEnsembleBatch plus a
-// completion-frontier callback (sweep.MapChunksProgress semantics): progress
-// fires with strictly increasing done counts and the stable makespan prefix,
-// so a streaming caller can summarize partial distributions while the
-// ensemble is still running. The final Distribution is bit-identical to the
-// progress-free call.
-func MonteCarloEnsembleBatchProgress(ctx context.Context, n int, seed uint64, workers, batch int, s Sampler, run func(days []units.ByteRate, out []float64) error, progress func(done int, makespans []float64)) (*Distribution, error) {
+// Day i's RNG is seeded from (seed, i) via sweep.TrialSeed regardless of
+// chunk geometry, so the distribution is bit-identical at any worker count
+// and batch size; cancelling ctx aborts the remaining days.
+//
+// A non-nil progress is a completion-frontier callback
+// (sweep.MapChunksProgress semantics): it fires with strictly increasing
+// done counts and the stable makespan prefix, so a streaming caller can
+// summarize partial distributions while the ensemble is still running. The
+// final Distribution is bit-identical to a progress-free call.
+func MonteCarlo(ctx context.Context, n int, seed uint64, workers, batch int, s Sampler, run func(days []units.ByteRate, out []float64) error, progress func(done int, makespans []float64)) (*Distribution, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("contention: need a positive sample count, got %d", n)
 	}

@@ -1,6 +1,7 @@
 package contention
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -212,7 +213,7 @@ func TestMonteCarloLCLS(t *testing.T) {
 		}
 		return res.Makespan, nil
 	}
-	d, err := MonteCarlo(50, 123, model, run)
+	d, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestMonteCarloLCLS(t *testing.T) {
 		t.Errorf("tail ratio = %v, want a heavy tail from contention", ratio)
 	}
 	// Determinism: same seed, same distribution.
-	d2, err := MonteCarlo(50, 123, model, run)
+	d2, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,17 +245,17 @@ func TestMonteCarloLCLS(t *testing.T) {
 func TestMonteCarloErrors(t *testing.T) {
 	ok := func(units.ByteRate) (float64, error) { return 1, nil }
 	sampler := TwoState{Base: 1, Degraded: 1, PBad: 0}
-	if _, err := MonteCarlo(0, 1, sampler, ok); err == nil {
+	if _, err := MonteCarlo(context.Background(), 0, 1, 1, 0, sampler, perDay(ok), nil); err == nil {
 		t.Error("zero samples should fail")
 	}
-	if _, err := MonteCarlo(1, 1, nil, ok); err == nil {
+	if _, err := MonteCarlo(context.Background(), 1, 1, 1, 0, nil, perDay(ok), nil); err == nil {
 		t.Error("nil sampler should fail")
 	}
-	if _, err := MonteCarlo(1, 1, sampler, nil); err == nil {
+	if _, err := MonteCarlo(context.Background(), 1, 1, 1, 0, sampler, nil, nil); err == nil {
 		t.Error("nil run should fail")
 	}
 	boom := func(units.ByteRate) (float64, error) { return 0, errFake }
-	if _, err := MonteCarlo(3, 1, sampler, boom); err == nil {
+	if _, err := MonteCarlo(context.Background(), 3, 1, 1, 0, sampler, perDay(boom), nil); err == nil {
 		t.Error("run error should propagate")
 	}
 }

@@ -9,24 +9,39 @@ import (
 	"wroofline/internal/units"
 )
 
-// The pool-backed Monte Carlo must produce a bit-identical distribution at
-// any worker count, and the serial MonteCarlo wrapper must match it.
+// perDay adapts a one-day evaluator to MonteCarlo's chunk function: it
+// loops over the chunk's days in order.
+func perDay(run func(units.ByteRate) (float64, error)) func([]units.ByteRate, []float64) error {
+	return func(days []units.ByteRate, out []float64) error {
+		for i, rate := range days {
+			v, err := run(rate)
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+		return nil
+	}
+}
+
+// The Monte Carlo must produce a bit-identical distribution at any worker
+// count, including one worker.
 func TestMonteCarloEnsembleWorkerCountInvariance(t *testing.T) {
 	model := Lognormal{Base: 1 * units.GBPS, Mu: 0.3, Sigma: 0.6}
-	run := func(rate units.ByteRate) (float64, error) {
+	run := perDay(func(rate units.ByteRate) (float64, error) {
 		return 1e12 / float64(rate), nil // a 1 TB transfer on the day's rate
-	}
-	base, err := MonteCarlo(200, 42, model, run)
+	})
+	base, err := MonteCarlo(context.Background(), 200, 42, 1, 0, model, run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 13} {
-		d, err := MonteCarloEnsemble(context.Background(), 200, 42, workers, model, run)
+		d, err := MonteCarlo(context.Background(), 200, 42, workers, 0, model, run, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.N() != base.N() || d.Mean() != base.Mean() || d.Min() != base.Min() || d.Max() != base.Max() {
-			t.Fatalf("workers=%d: distribution differs from serial wrapper", workers)
+			t.Fatalf("workers=%d: distribution differs from one worker", workers)
 		}
 		p99a, _ := base.Percentile(99)
 		p99b, _ := d.Percentile(99)
@@ -39,9 +54,9 @@ func TestMonteCarloEnsembleWorkerCountInvariance(t *testing.T) {
 func TestMonteCarloEnsembleCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MonteCarloEnsemble(ctx, 1000, 1, 2,
+	_, err := MonteCarlo(ctx, 1000, 1, 2, 0,
 		TwoState{Base: 1, Degraded: 1, PBad: 0},
-		func(units.ByteRate) (float64, error) { return 1, nil })
+		perDay(func(units.ByteRate) (float64, error) { return 1, nil }), nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -51,12 +66,12 @@ func TestMonteCarloEnsembleCancellation(t *testing.T) {
 // bad-day probability shows up as ~30% degraded trials.
 func TestMonteCarloEnsembleStatistics(t *testing.T) {
 	model := TwoState{Base: 1 * units.GBPS, Degraded: 0.2 * units.GBPS, PBad: 0.3}
-	d, err := MonteCarloEnsemble(context.Background(), 5000, 17, 0, model, func(rate units.ByteRate) (float64, error) {
+	d, err := MonteCarlo(context.Background(), 5000, 17, 0, 0, model, perDay(func(rate units.ByteRate) (float64, error) {
 		if rate == model.Degraded {
 			return 1, nil
 		}
 		return 0, nil
-	})
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

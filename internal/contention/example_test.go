@@ -1,6 +1,7 @@
 package contention_test
 
 import (
+	"context"
 	"fmt"
 
 	"wroofline/internal/contention"
@@ -15,9 +16,13 @@ func Example() {
 		Degraded: 0.2 * units.GBPS,
 		PBad:     0.3,
 	}
-	dist, err := contention.MonteCarlo(200, 42, model, func(rate units.ByteRate) (float64, error) {
-		return units.TimeToMove(1*units.TB, rate), nil
-	})
+	dist, err := contention.MonteCarlo(context.Background(), 200, 42, 1, 0, model,
+		func(days []units.ByteRate, out []float64) error {
+			for i, rate := range days {
+				out[i] = units.TimeToMove(1*units.TB, rate)
+			}
+			return nil
+		}, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -600,22 +600,20 @@ func fail(w http.ResponseWriter, err error) {
 	w.Write(problemBody(status, err.Error()))
 }
 
-// serveRawHit is the fast half of the hot path: if this exact request body
-// has been seen before (raw memo) and its canonical response is still
-// cached, serve it without parsing a byte of JSON. Reports whether it
-// served.
-func (s *Server) serveRawHit(w http.ResponseWriter, r *http.Request, rawKey Key) bool {
+// rawHit is the fast half of the hot path: if this exact request body has
+// been seen before (raw memo) and its canonical response is still cached,
+// it returns that response without parsing a byte of JSON, counting the
+// hit.
+func (s *Server) rawHit(rawKey Key) (Response, bool) {
 	key, ok := s.rawKeys.Get(rawKey)
 	if !ok {
-		return false
+		return Response{}, false
 	}
 	resp, ok := s.cache.Get(key)
-	if !ok {
-		return false
+	if ok {
+		s.metrics.cacheHits.Add(1)
 	}
-	s.metrics.cacheHits.Add(1)
-	respond(w, r, resp, "hit")
-	return true
+	return resp, ok
 }
 
 // serveCached is the shared hot path: look up the content address, coalesce
@@ -642,7 +640,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, co
 			return resp, nil
 		}
 		s.metrics.cacheMisses.Add(1)
-		resp, err := s.evaluate(r, compute)
+		// Detached from any one client: N coalesced requests share the
+		// work, so the first client hanging up must not cancel the result
+		// the other N-1 are waiting for.
+		resp, err := s.evaluate(context.Background(), r, compute)
 		if err != nil {
 			return Response{}, err
 		}
@@ -658,19 +659,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, co
 		return
 	}
 	respond(w, r, resp, disposition)
-}
-
-// evalContext derives the evaluation context for the buffered path:
-// detached from any one client — N coalesced requests share the work, so
-// the first client hanging up must not cancel the result the other N-1 are
-// waiting for — but bounded by the effective deadline, the smaller of the
-// server Timeout and the request's declared X-Deadline-Ms budget.
-func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFunc) {
-	budget := s.cfg.Timeout
-	if d := requestBudget(r.Header); d > 0 && d < budget {
-		budget = d
-	}
-	return context.WithTimeout(context.Background(), budget)
 }
 
 // admit acquires an evaluation slot for the tenant under ctx, translating
@@ -712,9 +700,17 @@ func (s *Server) admit(ctx context.Context, tenant string) (func(), error) {
 }
 
 // evaluate runs compute under the weighted-fair admission scheduler and the
-// effective deadline (see evalContext).
-func (s *Server) evaluate(r *http.Request, compute func(ctx context.Context) (Response, error)) (Response, error) {
-	ctx, cancel := s.evalContext(r)
+// effective deadline — the smaller of the server Timeout and the request's
+// declared X-Deadline-Ms budget — on a context derived from parent. It is
+// the one evaluation step of every endpoint, buffered or streamed: it
+// counts the evaluation and any deadline it runs out of, and stamps the
+// response's ETag and prerendered headers.
+func (s *Server) evaluate(parent context.Context, r *http.Request, compute func(ctx context.Context) (Response, error)) (Response, error) {
+	budget := s.cfg.Timeout
+	if d := requestBudget(r.Header); d > 0 && d < budget {
+		budget = d
+	}
+	ctx, cancel := context.WithTimeout(parent, budget)
 	defer cancel()
 	release, err := s.admit(ctx, tenantOf(r.Header))
 	if err != nil {
@@ -816,7 +812,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	defer putBody(sc)
 	rawKey := ContentKey("raw-model", body)
-	if s.serveRawHit(w, r, rawKey) {
+	if resp, ok := s.rawHit(rawKey); ok {
+		respond(w, r, resp, "hit")
 		return
 	}
 	req, canonical, err := canonicalModelRequest(body)
@@ -942,14 +939,23 @@ type SweepResponse struct {
 	Tables []*report.Table `json:"tables"`
 }
 
-// handleSweep runs a wfsweep spec and returns its tables as JSON. Requests
-// accepting NDJSON or SSE negotiate onto the streaming path instead —
-// same spec format, same cache, progressive delivery.
+// handleSweep runs a wfsweep spec. /v1/sweep returns its tables as one JSON
+// body unless the request's Accept negotiates NDJSON or SSE; the streaming
+// endpoint always streams. Both deliveries share the prelude (raw memo,
+// parse, canonical key), the cache, the evaluation and the rendered bytes;
+// only delivery differs: respond and serveCached buffer, streamCached and
+// streamSweep stream.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if wantsStream(r) {
-		s.handleSweepStream(w, r)
-		return
-	}
+	s.serveSweep(w, r, wantsStream(r))
+}
+
+// handleSweepStream serves /v1/sweep/stream: handleSweep, always streamed.
+func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
+	s.serveSweep(w, r, true)
+}
+
+// serveSweep is the one sweep handler behind both endpoints.
+func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, stream bool) {
 	body, sc, err := s.readBody(r)
 	if err != nil {
 		fail(w, err)
@@ -957,7 +963,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer putBody(sc)
 	rawKey := ContentKey("raw-sweep", body)
-	if s.serveRawHit(w, r, rawKey) {
+	if resp, ok := s.rawHit(rawKey); ok {
+		if stream {
+			s.streamCached(w, r, resp)
+		} else {
+			respond(w, r, resp, "hit")
+		}
 		return
 	}
 	spec, err := study.ParseSpec(body)
@@ -972,20 +983,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	key := ContentKey("sweep", canonical)
 	s.rawKeys.Put(rawKey, key)
+	// The server owns the parallelism budget; results are identical at any
+	// worker count, so this never changes the bytes.
+	spec.Workers = s.cfg.Workers
+	if stream {
+		s.streamSweep(w, r, key, spec)
+		return
+	}
 	s.serveCached(w, r, key, func(ctx context.Context) (Response, error) {
-		// The server owns the parallelism budget; results are identical at
-		// any worker count, so this never changes the bytes.
-		spec.Workers = s.cfg.Workers
-		tables, err := study.RunCached(ctx, spec, s.plans)
-		if err != nil {
-			return Response{}, err
-		}
-		data, err := json.Marshal(SweepResponse{Kind: spec.Kind, Tables: tables})
-		if err != nil {
-			return Response{}, err
-		}
-		return Response{Body: append(data, '\n'), ContentType: "application/json"}, nil
+		return s.runSweep(ctx, spec, nil)
 	})
+}
+
+// runSweep runs the spec and renders its canonical response body, the
+// study's tables as a SweepResponse. A non-nil emit receives progress
+// snapshots while the ensemble runs (see study.RunStreamCached).
+func (s *Server) runSweep(ctx context.Context, spec *study.Spec, emit func(study.Progress)) (Response, error) {
+	tables, err := study.RunStreamCached(ctx, spec, s.plans, emit)
+	if err != nil {
+		return Response{}, err
+	}
+	data, err := json.Marshal(SweepResponse{Kind: spec.Kind, Tables: tables})
+	if err != nil {
+		return Response{}, err
+	}
+	return Response{Body: append(data, '\n'), ContentType: "application/json"}, nil
 }
 
 // handleFigure renders one paper figure as SVG. The catalog's name list is

@@ -1,6 +1,7 @@
-// Streaming sweep delivery: the /v1/sweep/stream endpoint (also reachable
-// via Accept negotiation on /v1/sweep) runs ensemble studies through
-// study.RunStreamCached and pushes partial aggregates to the client as the
+// Streaming sweep delivery: when a sweep request asks for a stream (the
+// /v1/sweep/stream endpoint, or Accept negotiation on /v1/sweep), the one
+// sweep handler delivers a cache miss through streamSweep instead of
+// serveCached. The run pushes partial aggregates to the client as the
 // completed-trial frontier advances, instead of buffering the whole
 // response. Time-to-first-result becomes one chunk of trials rather than
 // the full sweep, and peak response memory is O(event), not O(trials).
@@ -12,10 +13,10 @@
 //	text/event-stream               SSE frames: "event: progress" /
 //	                                "event: result" / "event: error"
 //
-// The final result line is the exact byte sequence the buffered /v1/sweep
-// endpoint returns for the same spec — both render through the same runner
-// and marshal once — so a client keeping only the last line has the
-// canonical response, and the cache they fill is shared between paths.
+// The final result line is the exact byte sequence the buffered delivery
+// returns for the same spec — both share the prelude, the evaluation step
+// and runSweep's rendering — so a client keeping only the last line has the
+// canonical response, and the cache they fill is shared between deliveries.
 package serve
 
 import (
@@ -25,7 +26,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"wroofline/internal/study"
 	"wroofline/internal/sweep"
@@ -44,106 +44,49 @@ func wantsStream(r *http.Request) bool {
 	return strings.Contains(a, ContentTypeNDJSON) || strings.Contains(a, ContentTypeSSE)
 }
 
-// handleSweepStream runs a wfsweep spec and streams partial aggregates as
-// NDJSON lines or SSE frames, ending with the canonical buffered response
-// bytes as the final event.
-func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	sse := strings.Contains(r.Header.Get("Accept"), ContentTypeSSE)
-	body, sc, err := s.readBody(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	defer putBody(sc)
-	rawKey := ContentKey("raw-sweep", body)
-	// The raw-memo fast path mirrors the buffered endpoint: a cached final
-	// is streamed as a single result event with zero parsing.
-	if key, ok := s.rawKeys.Get(rawKey); ok {
-		if resp, ok := s.cache.Get(key); ok {
-			s.metrics.cacheHits.Add(1)
-			s.streamCached(w, resp, sse)
-			return
-		}
-	}
-	spec, err := study.ParseSpec(body)
-	if err != nil {
-		fail(w, badRequest("%v", err))
-		return
-	}
-	canonical, err := spec.Canonical()
-	if err != nil {
-		fail(w, badRequest("%v", err))
-		return
-	}
-	key := ContentKey("sweep", canonical)
-	s.rawKeys.Put(rawKey, key)
+// streamSweep delivers a sweep as a stream. A cached response streams as
+// one result event. A miss is evaluated on the client's context, not
+// coalesced: a stream has exactly one consumer, so a mid-stream disconnect
+// cancels the remaining trials promptly instead of burning slot time on an
+// answer nobody will read. The effective deadline still caps it.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, key Key, spec *study.Spec) {
 	if resp, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		s.streamCached(w, resp, sse)
+		s.streamCached(w, r, resp)
 		return
 	}
-
-	// Unlike the buffered path, the evaluation context is the client's: a
-	// stream has exactly one consumer, so a mid-stream disconnect cancels
-	// the remaining trials promptly instead of burning slot time on an
-	// answer nobody will read. The effective deadline still caps it.
-	budget := s.cfg.Timeout
-	if d := requestBudget(r.Header); d > 0 && d < budget {
-		budget = d
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	release, err := s.admit(ctx, tenantOf(r.Header))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	defer release()
 	s.metrics.cacheMisses.Add(1)
-	s.metrics.evaluations.Add(1)
-	if s.evalDelay > 0 {
-		time.Sleep(s.evalDelay)
-	}
-
-	enc := newStreamEncoder(w, sse)
-	enc.head("cold")
-
-	// The server owns the parallelism budget; results are identical at any
-	// worker count, so this never changes the bytes.
-	spec.Workers = s.cfg.Workers
-	// Progress callbacks arrive on sweep worker goroutines, serialized by
-	// the completion-frontier lock; the handler goroutine blocks inside
-	// RunStreamCached until they are done, so writes to the ResponseWriter never
-	// interleave.
-	tables, err := study.RunStreamCached(ctx, spec, s.plans, func(p study.Progress) {
-		enc.progress(p)
+	var enc *streamEncoder
+	resp, err := s.evaluate(r.Context(), r, func(ctx context.Context) (Response, error) {
+		enc = newStreamEncoder(w, r)
+		enc.head("cold")
+		// Progress callbacks arrive on sweep worker goroutines, serialized
+		// by the completion-frontier lock; the handler goroutine blocks in
+		// the run until they are done, so writes to the ResponseWriter never
+		// interleave.
+		return s.runSweep(ctx, spec, enc.progress)
 	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.metrics.streamAborts.Add(1)
-			return
-		}
+	switch {
+	case err == nil:
+		s.cache.Put(key, resp)
+		enc.result(resp.Body)
+		s.metrics.streams.Add(1)
+	case enc == nil:
+		// Refused before evaluating: no headers have gone out, so the
+		// error is an ordinary status code.
+		fail(w, err)
+	case r.Context().Err() != nil:
+		s.metrics.streamAborts.Add(1)
+	default:
 		enc.fail(statusOf(err), err)
-		return
 	}
-	data, err := json.Marshal(SweepResponse{Kind: spec.Kind, Tables: tables})
-	if err != nil {
-		enc.fail(http.StatusInternalServerError, err)
-		return
-	}
-	resp := Response{Body: append(data, '\n'), ContentType: "application/json"}
-	resp.ETag = etagOf(resp.Body)
-	resp.stampHeaders()
-	s.cache.Put(key, resp)
-	enc.result(resp.Body)
-	s.metrics.streams.Add(1)
 }
 
 // streamCached serves an already-rendered response as a one-event stream:
 // the result arrives in the negotiated framing with X-Cache: hit, so
 // streaming clients hit the same cache as buffered ones.
-func (s *Server) streamCached(w http.ResponseWriter, resp Response, sse bool) {
-	enc := newStreamEncoder(w, sse)
+func (s *Server) streamCached(w http.ResponseWriter, r *http.Request, resp Response) {
+	enc := newStreamEncoder(w, r)
 	enc.head("hit")
 	enc.result(resp.Body)
 	s.metrics.streams.Add(1)
@@ -163,10 +106,12 @@ type streamEncoder struct {
 	err error
 }
 
-// newStreamEncoder wraps the response writer; a writer without Flusher
-// (some test doubles) degrades to buffered writes rather than panicking.
-func newStreamEncoder(w http.ResponseWriter, sse bool) *streamEncoder {
+// newStreamEncoder wraps the response writer in the framing r's Accept
+// header negotiates (SSE, else NDJSON); a writer without Flusher (some test
+// doubles) degrades to buffered writes rather than panicking.
+func newStreamEncoder(w http.ResponseWriter, r *http.Request) *streamEncoder {
 	f, _ := w.(http.Flusher)
+	sse := strings.Contains(r.Header.Get("Accept"), ContentTypeSSE)
 	return &streamEncoder{w: w, f: f, sse: sse, buf: make([]byte, 0, 256)}
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -396,6 +397,56 @@ func TestDeadlineNeverStartsEval(t *testing.T) {
 	}
 	if snap.DeadlineSkips < 1 {
 		t.Errorf("deadline_skips = %d, want >= 1", snap.DeadlineSkips)
+	}
+}
+
+// TestSweepStreamEvalTimeoutCounted: an evaluation that runs out of its
+// deadline counts exactly one eval_timeouts whether its result was to be
+// buffered (a 504) or streamed (an in-band 504 error event).
+func TestSweepStreamEvalTimeoutCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// The delay runs after admission, so the 20ms budget expires before the
+	// sweep starts and the evaluation itself reports the deadline.
+	s.evalDelay = 100 * time.Millisecond
+	for i, tc := range []struct{ path, accept string }{
+		{"/v1/sweep", ""},
+		{"/v1/sweep/stream", ContentTypeNDJSON},
+	} {
+		before := s.MetricsSnapshot().EvalTimeouts
+		req, err := http.NewRequest("POST", ts.URL+tc.path, strings.NewReader(streamTrialsSpec(4096, uint64(900+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(DeadlineHeader, "20")
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		status := resp.StatusCode
+		if tc.accept != "" {
+			var ev struct {
+				Event  string `json:"event"`
+				Status int    `json:"status"`
+			}
+			if err := json.Unmarshal(bytes.TrimSpace(body), &ev); err != nil || ev.Event != "error" {
+				t.Fatalf("%s: stream body %q, want one error event (%v)", tc.path, body, err)
+			}
+			status = ev.Status
+		}
+		if status != http.StatusGatewayTimeout {
+			t.Errorf("%s: status %d, want 504", tc.path, status)
+		}
+		if got := s.MetricsSnapshot().EvalTimeouts - before; got != 1 {
+			t.Errorf("%s: eval_timeouts rose by %d, want 1", tc.path, got)
+		}
 	}
 }
 

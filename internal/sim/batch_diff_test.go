@@ -356,10 +356,10 @@ func TestBatchDifferentialGeometry(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			for _, k := range []int{1, 3, len(trials) + 10} {
-				got, err := sweep.MapChunks(context.Background(), len(trials), workers, k,
+				got, err := sweep.MapChunksProgress(context.Background(), len(trials), workers, k,
 					func(_ context.Context, lo, hi int, out []BatchResult) error {
 						return p.RunBatch(trials[lo:hi], out)
-					})
+					}, nil)
 				if err != nil {
 					t.Fatalf("case %+v workers=%d k=%d: %v", c, workers, k, err)
 				}

@@ -46,14 +46,14 @@ func TestStudyBatchInvariance(t *testing.T) {
 	}
 	for name, mk := range kinds {
 		t.Run(name, func(t *testing.T) {
-			baseTables, err := Run(context.Background(), mk(1, 1))
+			baseTables, err := RunStreamCached(context.Background(), mk(1, 1), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := renderTables(t, baseTables)
 			for _, workers := range []int{1, 4} {
 				for _, batch := range []int{1, 3, 100000, 0} { // 0 = auto
-					tables, err := Run(context.Background(), mk(workers, batch))
+					tables, err := RunStreamCached(context.Background(), mk(workers, batch), nil, nil)
 					if err != nil {
 						t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
 					}

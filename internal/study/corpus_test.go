@@ -20,11 +20,11 @@ func corpusSpec(workers int) *Spec {
 // a 1,000-scenario generated corpus on the NUMA machine model runs end to end
 // and produces byte-identical tables at any worker count.
 func TestCorpusStudyDeterministicAcrossWorkers(t *testing.T) {
-	one, err := Run(context.Background(), corpusSpec(1))
+	one, err := RunStreamCached(context.Background(), corpusSpec(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(context.Background(), corpusSpec(8))
+	many, err := RunStreamCached(context.Background(), corpusSpec(8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestCorpusStudyRidgeline(t *testing.T) {
 				Net: "20 GB", CV: 0.3, Payload: "1 GB"},
 		}
 	}
-	one, err := Run(context.Background(), spec(1))
+	one, err := RunStreamCached(context.Background(), spec(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(context.Background(), spec(7))
+	many, err := RunStreamCached(context.Background(), spec(7), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,22 +72,22 @@ func TestCorpusStudyRidgeline(t *testing.T) {
 }
 
 func TestCorpusStudyValidation(t *testing.T) {
-	if _, err := Run(context.Background(), &Spec{Kind: "corpus"}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus"}, nil, nil); err == nil {
 		t.Error("zero count accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "corpus", Count: 4, Machine: "summit"}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus", Count: 4, Machine: "summit"}, nil, nil); err == nil {
 		t.Error("unknown machine accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "corpus", Count: 4,
-		Families: []string{"butterfly"}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus", Count: 4,
+		Families: []string{"butterfly"}}, nil, nil); err == nil {
 		t.Error("unknown family accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "corpus", Count: 4,
-		Template: &wfgen.Spec{CV: 9}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus", Count: 4,
+		Template: &wfgen.Spec{CV: 9}}, nil, nil); err == nil {
 		t.Error("invalid template accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "corpus", Count: 4,
-		Template: &wfgen.Spec{Flops: "5 parsecs"}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus", Count: 4,
+		Template: &wfgen.Spec{Flops: "5 parsecs"}}, nil, nil); err == nil {
 		t.Error("unparseable template unit accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestCorpusExampleRoundTrips(t *testing.T) {
 	}
 	// The template must actually run.
 	spec.Count = 25
-	if _, err := Run(context.Background(), spec); err != nil {
+	if _, err := RunStreamCached(context.Background(), spec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

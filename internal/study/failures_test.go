@@ -36,11 +36,11 @@ func renderTables(t *testing.T, tables []*report.Table) string {
 }
 
 func TestFailuresStudyDeterministicAcrossWorkers(t *testing.T) {
-	one, err := Run(context.Background(), failuresSpec(1))
+	one, err := RunStreamCached(context.Background(), failuresSpec(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(context.Background(), failuresSpec(8))
+	many, err := RunStreamCached(context.Background(), failuresSpec(8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +56,19 @@ func TestFailuresStudyDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestFailuresStudyValidation(t *testing.T) {
-	if _, err := Run(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori",
-		Failure: &failure.Spec{TaskFailProb: 0.1}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori",
+		Failure: &failure.Spec{TaskFailProb: 0.1}}, nil, nil); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori", Trials: 4}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori", Trials: 4}, nil, nil); err == nil {
 		t.Error("missing failure block accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "failures", Case: "no-such-case", Trials: 4,
-		Failure: &failure.Spec{TaskFailProb: 0.1}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "failures", Case: "no-such-case", Trials: 4,
+		Failure: &failure.Spec{TaskFailProb: 0.1}}, nil, nil); err == nil {
 		t.Error("unknown case accepted")
 	}
-	if _, err := Run(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori", Trials: 4,
-		Failure: &failure.Spec{TaskFailProb: 2}}); err == nil {
+	if _, err := RunStreamCached(context.Background(), &Spec{Kind: "failures", Case: "lcls-cori", Trials: 4,
+		Failure: &failure.Spec{TaskFailProb: 2}}, nil, nil); err == nil {
 		t.Error("invalid failure probability accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestFailuresExampleRoundTrips(t *testing.T) {
 	}
 	// The template must actually run.
 	spec.Trials = 4
-	if _, err := Run(context.Background(), spec); err != nil {
+	if _, err := RunStreamCached(context.Background(), spec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,7 +220,7 @@ func TestFailuresUnfinishedBin(t *testing.T) {
 	}
 
 	for _, g := range [][2]int{{2, 0}, {4, 7}, {1, 1}, {3, 1000}} {
-		other, err := Run(context.Background(), unfinishedSpec(g[0], g[1]))
+		other, err := RunStreamCached(context.Background(), unfinishedSpec(g[0], g[1]), nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d batch=%d: %v", g[0], g[1], err)
 		}
@@ -238,7 +238,7 @@ func TestFailuresAllUnfinishedError(t *testing.T) {
 			Kind: "failures", Case: "lcls-cori", Trials: 20, Seed: 7, Workers: 1, Batch: batch,
 			Failure: &failure.Spec{TaskFailProb: 0.99, Retry: &failure.RetrySpec{MaxAttempts: 2}},
 		}
-		_, err := Run(context.Background(), spec)
+		_, err := RunStreamCached(context.Background(), spec, nil, nil)
 		if err == nil || !errors.Is(err, sim.ErrPermanentFailure) {
 			t.Fatalf("batch %d: err = %v, want a permanent failure", batch, err)
 		}

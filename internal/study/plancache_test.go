@@ -31,7 +31,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 	for _, kind := range []string{"montecarlo", "failures", "corpus"} {
 		t.Run(kind, func(t *testing.T) {
 			spec := shrinkExample(t, kind)
-			base, err := Run(ctx, spec)
+			base, err := RunStreamCached(ctx, spec, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestPlanCacheCorpusSeedVary(t *testing.T) {
 		t.Fatalf("seed-999 run missed (%d new misses); want 100%% cross-seed hits",
 			st2.Misses-st.Misses)
 	}
-	fresh, err := Run(ctx, mk(999))
+	fresh, err := RunStreamCached(ctx, mk(999), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

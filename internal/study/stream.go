@@ -21,12 +21,16 @@ type Progress struct {
 	Summary sweep.Summary `json:"summary"`
 }
 
-// RunStreamCached executes the spec like Run and additionally invokes emit
-// with partial makespan summaries as the completed-trial frontier advances.
-// Emission is throttled to at most ~64 snapshots per run, calls are serial
-// with strictly increasing Done, and Done < Total always holds — the final
-// aggregate is the returned tables, byte-identical to Run's, not a progress
-// event. Only the ensemble kinds (montecarlo, failures, corpus) stream;
+// RunStreamCached executes the spec and returns the report tables in print
+// order. It is the one study entry point: buffered and streamed delivery,
+// cached and uncached, all run the same runner per kind, which is what keeps
+// streamed final results byte-identical to buffered ones.
+//
+// A non-nil emit receives partial makespan summaries as the completed-trial
+// frontier advances. Emission is throttled to at most ~64 snapshots per run,
+// calls are serial with strictly increasing Done, and Done < Total always
+// holds — the final aggregate is the returned tables, byte-identical to a
+// run with a nil emit, not a progress event. Only the ensemble kinds (montecarlo, failures, corpus) stream;
 // grid and survey produce their tables with no intermediate snapshots. A
 // nil emit streams nothing.
 //

@@ -43,7 +43,7 @@ func streamSpecs() map[string]*Spec {
 func TestRunStreamDifferential(t *testing.T) {
 	for kind, spec := range streamSpecs() {
 		t.Run(kind, func(t *testing.T) {
-			want, err := Run(context.Background(), spec)
+			want, err := RunStreamCached(context.Background(), spec, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

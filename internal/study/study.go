@@ -154,15 +154,9 @@ func (s *Spec) Canonical() ([]byte, error) {
 	return json.Marshal(&c)
 }
 
-// Run executes the spec and returns the report tables in print order. It is
-// RunStreamCached without a plan cache or progress snapshots — both paths
-// share one runner per kind, which is what keeps streamed final results
-// byte-identical to buffered ones.
-func Run(ctx context.Context, spec *Spec) ([]*report.Table, error) {
-	return RunStreamCached(ctx, spec, nil, nil)
-}
-
-// RunCached is Run with a second-level plan cache (see RunStreamCached).
+// RunCached is RunStreamCached without progress snapshots. It stays for the
+// wfbench benchmark module, whose layer replays compile against it; the CLI
+// and the service call RunStreamCached.
 func RunCached(ctx context.Context, spec *Spec, plans *plancache.Cache) ([]*report.Table, error) {
 	return RunStreamCached(ctx, spec, plans, nil)
 }
@@ -249,7 +243,7 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 	// repeated day rates (a two-state sampler yields two distinct trials per
 	// batch). Day seeding is chunk-independent, so the distribution is
 	// bit-identical to the per-trial path at any worker count or batch size.
-	d, err := contention.MonteCarloEnsembleBatchProgress(ctx, spec.Trials, spec.Seed, spec.Workers, spec.Batch, s,
+	d, err := contention.MonteCarlo(ctx, spec.Trials, spec.Seed, spec.Workers, spec.Batch, s,
 		func(days []units.ByteRate, out []float64) error {
 			cs := getChunkScratch(len(days))
 			defer cs.put()

@@ -122,9 +122,9 @@ func (a *Agg) Summary() (Summary, error) {
 		Min:  a.min,
 		Max:  a.max,
 		Mean: sum / float64(a.count),
-		P50:  quantile(sorted, 50),
-		P90:  quantile(sorted, 90),
-		P99:  quantile(sorted, 99),
+		P50:  Quantile(sorted, 50),
+		P90:  Quantile(sorted, 90),
+		P99:  Quantile(sorted, 99),
 	}
 	if s.P50 != 0 {
 		s.TailRatio = s.P99 / s.P50
@@ -132,12 +132,14 @@ func (a *Agg) Summary() (Summary, error) {
 	return s, nil
 }
 
-// quantile interpolates the p-quantile (0..100) of sorted samples, matching
-// contention.Distribution.Percentile. An empty slice yields 0 rather than a
-// panic: NewAgg rejects n<=0 so Summary never passes one, but the guard keeps
-// ad-hoc callers (e.g. failure-ensemble sub-populations that may be empty)
-// safe.
-func quantile(sorted []float64, p float64) float64 {
+// Quantile interpolates the p-quantile (0..100) of ascending samples
+// linearly between the two nearest ranks. It is the one quantile rule of
+// every ensemble report: Agg and Summarizer summaries and
+// contention.Distribution.Percentile all use it. An empty slice yields 0
+// rather than a panic: NewAgg rejects n<=0 so Summary never passes one, but
+// the guard keeps ad-hoc callers (e.g. failure-ensemble sub-populations that
+// may be empty) safe.
+func Quantile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -39,7 +39,7 @@ func TestChunkSize(t *testing.T) {
 
 func TestMapChunksOrderAndValues(t *testing.T) {
 	// n not divisible by chunk exercises the short tail chunk.
-	got, err := MapChunks(context.Background(), 10, 3, 3, func(_ context.Context, lo, hi int, out []int) error {
+	got, err := MapChunksProgress(context.Background(), 10, 3, 3, func(_ context.Context, lo, hi int, out []int) error {
 		if hi-lo != len(out) {
 			return fmt.Errorf("out len %d for range [%d,%d)", len(out), lo, hi)
 		}
@@ -47,7 +47,7 @@ func TestMapChunksOrderAndValues(t *testing.T) {
 			out[i] = (lo + i) * (lo + i)
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMapChunksOrderAndValues(t *testing.T) {
 // lo+i), never from chunk geometry.
 func TestMapChunksDeterministicAcrossGeometry(t *testing.T) {
 	run := func(workers, chunk int) []float64 {
-		out, err := MapChunks(context.Background(), 500, workers, chunk, func(_ context.Context, lo, hi int, out []float64) error {
+		out, err := MapChunksProgress(context.Background(), 500, workers, chunk, func(_ context.Context, lo, hi int, out []float64) error {
 			if lo%7 == 0 { // stagger completion order
 				time.Sleep(time.Microsecond)
 			}
@@ -74,7 +74,7 @@ func TestMapChunksDeterministicAcrossGeometry(t *testing.T) {
 				out[i] = float64(TrialSeed(99, lo+i)%1000) / 7
 			}
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestMapChunksDeterministicAcrossGeometry(t *testing.T) {
 
 func TestMapChunksErrorsLowestChunkWins(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := MapChunks(context.Background(), 64, 8, 4, func(_ context.Context, lo, hi int, out []int) error {
+	_, err := MapChunksProgress(context.Background(), 64, 8, 4, func(_ context.Context, lo, hi int, out []int) error {
 		if (lo/4)%2 == 1 { // every odd chunk fails; lowest is [4,8)
 			return fmt.Errorf("chunk-level: %w", boom)
 		}
@@ -100,17 +100,17 @@ func TestMapChunksErrorsLowestChunkWins(t *testing.T) {
 			out[i] = lo + i
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	// With a single worker the failing range is fully deterministic.
-	_, err = MapChunks(context.Background(), 64, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
+	_, err = MapChunksProgress(context.Background(), 64, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
 		if lo >= 20 {
 			return boom
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || err.Error() != "sweep: trials [20,30): boom" {
 		t.Fatalf("err = %v, want sweep: trials [20,30): boom", err)
 	}
@@ -118,13 +118,13 @@ func TestMapChunksErrorsLowestChunkWins(t *testing.T) {
 
 func TestMapChunksErrorCancelsRemaining(t *testing.T) {
 	var started atomic.Int64
-	_, err := MapChunks(context.Background(), 10000, 2, 1, func(_ context.Context, lo, hi int, out []int) error {
+	_, err := MapChunksProgress(context.Background(), 10000, 2, 1, func(_ context.Context, lo, hi int, out []int) error {
 		started.Add(1)
 		if lo == 0 {
 			return errors.New("early failure")
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -138,11 +138,11 @@ func TestMapChunksContextCancellation(t *testing.T) {
 	var ran atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		_, err := MapChunks(ctx, 1_000_000, 2, 1, func(_ context.Context, lo, hi int, out []int) error {
+		_, err := MapChunksProgress(ctx, 1_000_000, 2, 1, func(_ context.Context, lo, hi int, out []int) error {
 			ran.Add(1)
 			time.Sleep(50 * time.Microsecond)
 			return nil
-		})
+		}, nil)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -162,7 +162,7 @@ func TestMapChunksContextCancellation(t *testing.T) {
 func TestMapChunksSingleWorkerInline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var order []int
-	_, err := MapChunks(context.Background(), 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
+	_, err := MapChunksProgress(context.Background(), 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("chunk [%d,%d) ran beside %d goroutines, want the caller's %d", lo, hi, n, before)
 		}
@@ -171,7 +171,7 @@ func TestMapChunksSingleWorkerInline(t *testing.T) {
 			return errors.New("boom")
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || err.Error() != "sweep: trials [30,40): boom" {
 		t.Fatalf("err = %v, want sweep: trials [30,40): boom", err)
 	}
@@ -182,13 +182,13 @@ func TestMapChunksSingleWorkerInline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	order = nil
-	_, err = MapChunks(ctx, 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
+	_, err = MapChunksProgress(ctx, 50, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
 		order = append(order, lo)
 		if lo == 20 {
 			cancel()
 		}
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -198,19 +198,19 @@ func TestMapChunksSingleWorkerInline(t *testing.T) {
 }
 
 func TestMapChunksEdgeCases(t *testing.T) {
-	if _, err := MapChunks[int](context.Background(), -1, 1, 1, func(context.Context, int, int, []int) error { return nil }); err == nil {
+	if _, err := MapChunksProgress[int](context.Background(), -1, 1, 1, func(context.Context, int, int, []int) error { return nil }, nil); err == nil {
 		t.Error("negative trial count should fail")
 	}
-	if _, err := MapChunks[int](context.Background(), 1, 1, 1, nil); err == nil {
+	if _, err := MapChunksProgress[int](context.Background(), 1, 1, 1, nil, nil); err == nil {
 		t.Error("nil fn should fail")
 	}
-	out, err := MapChunks(context.Background(), 0, 4, 8, func(context.Context, int, int, []int) error { return nil })
+	out, err := MapChunksProgress(context.Background(), 0, 4, 8, func(context.Context, int, int, []int) error { return nil }, nil)
 	if err != nil || out == nil || len(out) != 0 {
 		t.Errorf("empty sweep: %v, %v", out, err)
 	}
 	// A chunk larger than n collapses to one call covering [0, n).
 	calls := 0
-	out2, err := MapChunks(context.Background(), 3, 4, 100, func(_ context.Context, lo, hi int, o []int) error {
+	out2, err := MapChunksProgress(context.Background(), 3, 4, 100, func(_ context.Context, lo, hi int, o []int) error {
 		calls++
 		if lo != 0 || hi != 3 {
 			t.Errorf("range [%d,%d), want [0,3)", lo, hi)
@@ -219,12 +219,12 @@ func TestMapChunksEdgeCases(t *testing.T) {
 			o[i] = 7
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil || calls != 1 || len(out2) != 3 {
 		t.Errorf("oversized chunk: calls=%d out=%v err=%v", calls, out2, err)
 	}
 	// nil context is tolerated.
-	if _, err := MapChunks(nil, 3, 2, 1, func(context.Context, int, int, []int) error { return nil }); err != nil { //nolint:staticcheck
+	if _, err := MapChunksProgress(nil, 3, 2, 1, func(context.Context, int, int, []int) error { return nil }, nil); err != nil { //nolint:staticcheck
 		t.Errorf("nil ctx: %v", err)
 	}
 }

@@ -9,7 +9,20 @@ import (
 	"sync/atomic"
 )
 
-// MapChunksProgress is MapChunks plus a completion-frontier callback:
+// MapChunksProgress evaluates fn over [0, n) in contiguous chunks of
+// ChunkSize(n, workers, chunk) trials: fn(ctx, lo, hi, out[lo:hi]) must fill
+// one result per trial index in [lo, hi). Chunks are claimed in index order
+// by up to workers goroutines (the caller is one of them) and results land
+// by index, so outputs are identical at any worker count AND any chunk size
+// — clients derive per-trial randomness from TrialSeed(base, lo+i), never
+// from chunk geometry.
+//
+// The first chunk error cancels the remaining chunks and is returned
+// wrapped with the chunk's trial range; concurrent failures resolve to the
+// lowest-indexed chunk, keeping failure reports deterministic. A cancelled
+// parent context aborts the run and returns the context's error.
+//
+// A non-nil progress is a completion-frontier callback:
 // whenever the contiguous prefix of completed trials advances, progress is
 // invoked with the new prefix length and the stable prefix of the result
 // slice. Calls are serialized and done is strictly increasing, finishing
@@ -23,20 +36,31 @@ import (
 //
 // The callback runs on the worker that completed the chunk — the caller
 // is one of the workers, so with one worker it is the caller — while the frontier lock is held: keep it short (snapshot a prefix,
-// notify a channel) and never call back into the sweep from inside it. A
-// nil progress makes this exactly MapChunks.
+// notify a channel) and never call back into the sweep from inside it.
 func MapChunksProgress[T any](ctx context.Context, n, workers, chunk int, fn func(ctx context.Context, lo, hi int, out []T) error, progress func(done int, prefix []T)) ([]T, error) {
+	out, lo, hi, err := mapChunks(ctx, n, workers, chunk, fn, progress)
+	if lo >= 0 {
+		return nil, fmt.Errorf("sweep: trials [%d,%d): %w", lo, hi, err)
+	}
+	return out, err
+}
+
+// mapChunks is the one scheduler behind Map and MapChunksProgress. When a
+// chunk fails it returns that chunk's trial range [lo, hi) and its bare
+// error, so each face words the failure its own way; otherwise lo is -1 and
+// err is nil, a cancellation or an argument error.
+func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx context.Context, lo, hi int, out []T) error, progress func(done int, prefix []T)) ([]T, int, int, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("sweep: trial count must be non-negative, got %d", n)
+		return nil, -1, -1, fmt.Errorf("sweep: trial count must be non-negative, got %d", n)
 	}
 	if fn == nil {
-		return nil, fmt.Errorf("sweep: nil chunk function")
+		return nil, -1, -1, fmt.Errorf("sweep: nil chunk function")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if n == 0 {
-		return []T{}, nil
+		return []T{}, -1, -1, nil
 	}
 	workers = Workers(workers)
 	chunk = ChunkSize(n, workers, chunk)
@@ -125,12 +149,12 @@ func MapChunksProgress[T any](ctx context.Context, n, workers, chunk int, fn fun
 	}
 	wg.Wait()
 	if firstEr != nil {
-		return nil, fmt.Errorf("sweep: trials [%d,%d): %w", errLo, errHi, firstEr)
+		return nil, errLo, errHi, firstEr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: cancelled: %w", err)
+		return nil, -1, -1, fmt.Errorf("sweep: cancelled: %w", err)
 	}
-	return out, nil
+	return out, -1, -1, nil
 }
 
 // frontier tracks which chunks have completed and where the contiguous
@@ -219,9 +243,9 @@ func (z *Summarizer) Summarize(samples []float64) (Summary, error) {
 		Min:  sorted[0],
 		Max:  sorted[len(sorted)-1],
 		Mean: sum / float64(len(samples)),
-		P50:  quantile(sorted, 50),
-		P90:  quantile(sorted, 90),
-		P99:  quantile(sorted, 99),
+		P50:  Quantile(sorted, 50),
+		P90:  Quantile(sorted, 90),
+		P99:  Quantile(sorted, 99),
 	}
 	if s.P50 != 0 {
 		s.TailRatio = s.P99 / s.P50

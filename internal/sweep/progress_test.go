@@ -93,9 +93,9 @@ func TestMapChunksProgressFirstChunkFirst(t *testing.T) {
 	}
 }
 
-// TestMapChunksProgressMatchesMapChunks is the byte-identity root: the
-// progress variant returns exactly what MapChunks returns for the same
-// seeded function, at several worker counts and chunk sizes.
+// TestMapChunksProgressMatchesMapChunks is the byte-identity root: a run
+// with a progress callback returns exactly what a run without one returns
+// for the same seeded function, at several worker counts and chunk sizes.
 func TestMapChunksProgressMatchesMapChunks(t *testing.T) {
 	fn := func(_ context.Context, lo, hi int, out []float64) error {
 		for j := range out {
@@ -103,7 +103,7 @@ func TestMapChunksProgressMatchesMapChunks(t *testing.T) {
 		}
 		return nil
 	}
-	want, err := MapChunks(context.Background(), 200, 1, 16, fn)
+	want, err := MapChunksProgress(context.Background(), 200, 1, 16, fn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

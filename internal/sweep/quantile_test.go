@@ -6,15 +6,15 @@ import (
 )
 
 // TestQuantileEmptySlice is the regression test for the missing empty-slice
-// guard: quantile indexed sorted[lo] unconditionally, which panics on an
+// guard: Quantile indexed sorted[lo] unconditionally, which panics on an
 // empty ensemble.
 func TestQuantileEmptySlice(t *testing.T) {
 	for _, p := range []float64{0, 50, 99, 100} {
-		if got := quantile(nil, p); got != 0 {
-			t.Errorf("quantile(nil, %v) = %v, want 0", p, got)
+		if got := Quantile(nil, p); got != 0 {
+			t.Errorf("Quantile(nil, %v) = %v, want 0", p, got)
 		}
-		if got := quantile([]float64{}, p); got != 0 {
-			t.Errorf("quantile(empty, %v) = %v, want 0", p, got)
+		if got := Quantile([]float64{}, p); got != 0 {
+			t.Errorf("Quantile(empty, %v) = %v, want 0", p, got)
 		}
 	}
 }
@@ -34,8 +34,8 @@ func TestQuantileInterpolation(t *testing.T) {
 		{"p100 is max", []float64{3, 8, 9}, 100, 9},
 	}
 	for _, tc := range cases {
-		if got := quantile(tc.sorted, tc.p); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: quantile(%v, %v) = %v, want %v", tc.name, tc.sorted, tc.p, got, tc.want)
+		if got := Quantile(tc.sorted, tc.p); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: Quantile(%v, %v) = %v, want %v", tc.name, tc.sorted, tc.p, got, tc.want)
 		}
 	}
 }

@@ -23,8 +23,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // TrialSeed derives the RNG seed for one trial from the ensemble's base
@@ -52,8 +50,9 @@ func Workers(n int) int {
 }
 
 // Map evaluates fn(ctx, i) for every trial i in [0, n) on up to workers
-// goroutines (Workers(workers) applies, and the pool never exceeds n). The
-// result slice is indexed by trial, so identical inputs produce identical
+// goroutines (Workers(workers) applies, and the pool never exceeds n). It is
+// MapChunksProgress with one trial per chunk and no progress callback, so
+// results land by trial index and identical inputs produce identical
 // outputs at any worker count.
 //
 // The first trial error cancels the remaining trials and is returned
@@ -61,72 +60,20 @@ func Workers(n int) int {
 // lowest-indexed error wins, keeping failure reports deterministic too. A
 // cancelled parent context aborts the run and returns the context's error.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, trial int) (T, error)) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("sweep: trial count must be non-negative, got %d", n)
-	}
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil trial function")
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	out, lo, _, err := mapChunks(ctx, n, workers, 1, func(ctx context.Context, lo, _ int, out []T) (err error) {
+		out[0], err = fn(ctx, lo)
+		return err
+	}, nil)
+	if lo >= 0 {
+		return nil, fmt.Errorf("sweep: trial %d: %w", lo, err)
 	}
-	if n == 0 {
-		return []T{}, nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	out := make([]T, n)
-	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		errIdx  = -1
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	next.Store(-1)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstEr == nil || i < errIdx {
-			errIdx, firstEr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n || runCtx.Err() != nil {
-					return
-				}
-				v, err := fn(runCtx, i)
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, fmt.Errorf("sweep: trial %d: %w", errIdx, firstEr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: cancelled: %w", err)
-	}
-	return out, nil
+	return out, err
 }
 
-// ChunkSize normalizes a batch-size request for MapChunks. A positive
+// ChunkSize normalizes a batch-size request for MapChunksProgress. A positive
 // request is used as-is; otherwise the default aims at ~8 chunks per worker
 // (so the pool load-balances across uneven chunk costs) clamped to [1, 1024]
 // (so per-chunk state like a batch executor's scratch stays cache-resident
@@ -143,24 +90,6 @@ func ChunkSize(n, workers, requested int) int {
 		return 1024
 	}
 	return c
-}
-
-// MapChunks evaluates fn over [0, n) in contiguous chunks of ChunkSize(n,
-// workers, chunk) trials: fn(ctx, lo, hi, out[lo:hi]) must fill one result
-// per trial index in [lo, hi). Chunks are distributed across up to workers
-// goroutines exactly like Map distributes trials, and results land by index,
-// so outputs are identical at any worker count AND any chunk size — clients
-// derive per-trial randomness from TrialSeed(base, lo+i), never from chunk
-// geometry.
-//
-// The first chunk error cancels the remaining chunks and is returned wrapped
-// with the chunk's trial range; concurrent failures resolve to the
-// lowest-indexed chunk, keeping failure reports deterministic.
-//
-// MapChunks is MapChunksProgress without a frontier callback; see that
-// variant for streaming partial results.
-func MapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx context.Context, lo, hi int, out []T) error) ([]T, error) {
-	return MapChunksProgress(ctx, n, workers, chunk, fn, nil)
 }
 
 // GridSize returns the cell count of a cartesian product with the given

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wroofline/internal/core"
-	"wroofline/internal/report"
 	"wroofline/internal/sweep"
 )
 
@@ -146,15 +145,4 @@ func EvaluateGrid(ctx context.Context, base *core.Model, p float64, g Grid, work
 		}
 		return cell, nil
 	})
-}
-
-// GridTable renders grid cells as an aligned-text table.
-func GridTable(title string, cells []Cell) (string, error) {
-	tbl := report.NewTable(title, "scenario", "bound TPS", "speedup", "limited by")
-	for _, c := range cells {
-		if err := tbl.AddRowf(c.Name, c.Outcome.BoundTPS, c.Outcome.Speedup, c.Outcome.Limiting); err != nil {
-			return "", err
-		}
-	}
-	return tbl.Text(), nil
 }

@@ -136,43 +136,3 @@ func TestEvaluateGridDefaultsAndErrors(t *testing.T) {
 		t.Error("missing resource should fail")
 	}
 }
-
-func TestEvaluateEnsembleMatchesSerial(t *testing.T) {
-	m := gridModel()
-	perts := []Perturbation{
-		ScaleResource(core.ResMemory, 2),
-		ScaleResource(core.ResFileSystem, 4),
-		ScaleWall(2),
-		IntraTask(2, 0.8),
-	}
-	serial, err := Evaluate(m, 8, perts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		par, err := EvaluateEnsemble(context.Background(), m, 8, perts, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: outcomes differ from serial", workers)
-		}
-	}
-}
-
-func TestGridTable(t *testing.T) {
-	cells, err := EvaluateGrid(context.Background(), gridModel(), 4,
-		Grid{WallFactors: []float64{1, 2}}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt, err := GridTable("grid", cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"scenario", "bound TPS", "base", "2x wall"} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("table missing %q:\n%s", want, txt)
-		}
-	}
-}

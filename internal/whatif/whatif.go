@@ -8,13 +8,11 @@
 package whatif
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"wroofline/internal/core"
 	"wroofline/internal/report"
-	"wroofline/internal/sweep"
 )
 
 // Perturbation is a named model transformation.
@@ -102,20 +100,11 @@ type Outcome struct {
 }
 
 // Evaluate applies each perturbation to the base model and compares bounds
-// at p parallel tasks (clipped at each scenario's wall). It is the
-// serial-API wrapper over EvaluateEnsemble: one worker, background context,
-// identical output.
+// at p parallel tasks (clipped at each scenario's wall). Outcomes come back
+// in perturbation order, base first. Perturbation Apply functions must not
+// mutate the base model; every Perturbation this package constructs clones
+// it.
 func Evaluate(base *core.Model, p float64, perts []Perturbation) ([]Outcome, error) {
-	return EvaluateEnsemble(context.Background(), base, p, perts, 1)
-}
-
-// EvaluateEnsemble is Evaluate on the sweep worker pool: each perturbation
-// is applied and bounded on its own goroutine (up to workers; sweep.Workers
-// semantics). Outcomes come back in perturbation order — base first — so the
-// result is identical at any worker count. Perturbation Apply functions must
-// not mutate the base model; every Perturbation this package constructs
-// clones it.
-func EvaluateEnsemble(ctx context.Context, base *core.Model, p float64, perts []Perturbation, workers int) ([]Outcome, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,21 +112,17 @@ func EvaluateEnsemble(ctx context.Context, base *core.Model, p float64, perts []
 		return nil, fmt.Errorf("whatif: parallel tasks must be positive, got %v", p)
 	}
 	baseBound, baseLimit := base.Bound(p)
-	scenarios, err := sweep.Map(ctx, len(perts), workers, func(_ context.Context, i int) (Outcome, error) {
-		pert := perts[i]
-		m, err := pert.Apply(base)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("whatif: %s: %w", pert.Name, err)
-		}
-		bound, limit := m.Bound(p)
-		return outcomeFor(pert.Name, m, p, bound, limit.Name, baseBound), nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]Outcome, 0, len(perts)+1)
 	out = append(out, outcomeFor("base", base, p, baseBound, baseLimit.Name, baseBound))
-	return append(out, scenarios...), nil
+	for _, pert := range perts {
+		m, err := pert.Apply(base)
+		if err != nil {
+			return nil, fmt.Errorf("whatif: %s: %w", pert.Name, err)
+		}
+		bound, limit := m.Bound(p)
+		out = append(out, outcomeFor(pert.Name, m, p, bound, limit.Name, baseBound))
+	}
+	return out, nil
 }
 
 func outcomeFor(name string, m *core.Model, p, bound float64, limiting string, baseBound float64) Outcome {
@@ -195,34 +180,6 @@ func UsefulImprovement(m *core.Model, p float64, res core.Resource) (factor, spe
 		return math.Inf(1), math.Inf(1), nil
 	}
 	return next / bound, next / bound, nil
-}
-
-// SweepPoint is one sample of a resource-peak sweep.
-type SweepPoint struct {
-	// Factor is the applied improvement; BoundTPS the resulting bound.
-	Factor   float64
-	BoundTPS float64
-	// Limiting names the binding ceiling at this factor.
-	Limiting string
-}
-
-// SweepResourceEnsemble evaluates the bound at p while scaling a resource's
-// peak through the given factors — the series behind "changing system or
-// node bandwidths shifts the ceilings". The factor series fans across the
-// sweep pool; points come back in factor order at any worker count.
-func SweepResourceEnsemble(ctx context.Context, m *core.Model, p float64, res core.Resource, factors []float64, workers int) ([]SweepPoint, error) {
-	if len(factors) == 0 {
-		return nil, fmt.Errorf("whatif: no sweep factors")
-	}
-	return sweep.Map(ctx, len(factors), workers, func(_ context.Context, i int) (SweepPoint, error) {
-		f := factors[i]
-		scaled, err := ScaleResource(res, f).Apply(m)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		bound, limit := scaled.Bound(p)
-		return SweepPoint{Factor: f, BoundTPS: bound, Limiting: limit.Name}, nil
-	})
 }
 
 // Table renders outcomes as an aligned-text table.

@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -201,10 +200,15 @@ func TestSweepResource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepResourceEnsemble(context.Background(), cs.Model, 5, core.ResExternal, []float64{1, 2, 4, 100, 1000}, 1)
+	var perts []Perturbation
+	for _, f := range []float64{1, 2, 4, 100, 1000} {
+		perts = append(perts, ScaleResource(core.ResExternal, f))
+	}
+	outcomes, err := Evaluate(cs.Model, 5, perts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := outcomes[1:] // outcomes[0] is the unscaled base
 	if len(points) != 5 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -217,9 +221,6 @@ func TestSweepResource(t *testing.T) {
 	last := points[len(points)-1]
 	if !strings.Contains(last.Limiting, "Internal") {
 		t.Errorf("at 1000x external the burst buffer should bind, got %q", last.Limiting)
-	}
-	if _, err := SweepResourceEnsemble(context.Background(), cs.Model, 5, core.ResExternal, nil, 1); err == nil {
-		t.Error("empty sweep should fail")
 	}
 }
 

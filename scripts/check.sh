@@ -34,6 +34,16 @@ else
     fail=1
 fi
 
+# The unreached-API guard: every exported internal/ function or method that
+# only tests reach must be on testdata/unreached_api.txt, and the list may
+# only shrink. Named so new test-only API is attributed immediately.
+echo "== unreached API guard =="
+if go test . -run TestUnreachedAPI -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The batch-executor differential wall is the correctness proof for the
 # Monte Carlo fast path, the plan's trial memo and the fault-free screen
 # that serves failure trials from it; run it as a named gate (race +
