@@ -16,6 +16,7 @@ import (
 	"wroofline/internal/machine"
 	"wroofline/internal/pipeline"
 	"wroofline/internal/sim"
+	"wroofline/internal/sweep"
 	"wroofline/internal/units"
 	"wroofline/internal/wdl"
 	"wroofline/internal/whatif"
@@ -106,7 +107,7 @@ func main() {
 		Degraded: pm.ExternalBW / 5,
 		PBad:     0.3,
 	}
-	dist, err := contention.MonteCarlo(context.Background(), 100, 2024, 1, 0, model2,
+	days, err := contention.MonteCarlo(context.Background(), 100, 2024, 1, 0, model2,
 		func(days []units.ByteRate, out []float64) error {
 			for i, rate := range days {
 				day, err := sim.Run(w, nil, sim.Config{Machine: pm, ExternalBW: rate})
@@ -120,28 +121,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p50, err := dist.Percentile(50)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p99, err := dist.Percentile(99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tail, err := dist.TailRatio()
+	// Summarize sorts days in place, so the deadline loop below reads
+	// percentiles straight off the sorted makespans.
+	dist, err := sweep.Summarize(days)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("contention Monte Carlo over %d days: median %.0fs, p99 %.0fs, tail ratio %.2fx\n",
-		dist.N(), p50, p99, tail)
+		dist.N, dist.P50, dist.P99, dist.TailRatio)
 	deadline := w.Targets.MakespanSeconds
 	missed := 0
 	for pct := 1.0; pct <= 100; pct++ {
-		v, err := dist.Percentile(pct)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if v > deadline {
+		if sweep.Quantile(days, pct) > deadline {
 			missed++
 		}
 	}

@@ -47,8 +47,6 @@ type Config struct {
 	Backends []string
 	// ProbeInterval paces the health-check loop (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 1s).
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive probe failures mark a replica down
 	// (default 1: one failed probe window and traffic reroutes). Passive
 	// detection is immediate regardless — a transport error on a live
@@ -57,10 +55,6 @@ type Config struct {
 	// Timeout bounds one upstream fetch, shared by every rider of the
 	// flight (default 30s, matching the replica evaluation budget).
 	Timeout time.Duration
-	// MaxBodyBytes caps request bodies (default 1 MiB, matching wfserved).
-	MaxBodyBytes int64
-	// Shards sets the singleflight shard count (default 16).
-	Shards int
 	// Client overrides the upstream HTTP client (tests and benchmarks
 	// inject in-process transports); nil builds a default.
 	Client *http.Client
@@ -74,20 +68,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 1
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -95,9 +80,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// routeMemoEntries is the routing memo's fixed capacity (the replica's
-// default raw-body memo size).
-const routeMemoEntries = 2048
+const (
+	// routeMemoEntries is the routing memo's fixed capacity (the replica's
+	// default raw-body memo size).
+	routeMemoEntries = 2048
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = time.Second
+	// maxBodyBytes caps request bodies, matching wfserved's default.
+	maxBodyBytes = 1 << 20
+	// shards is the shard count of the singleflight table and the routing
+	// memo.
+	shards = 16
+)
 
 // maxPresizedBody caps the buffer a Content-Length header alone can make
 // the gate allocate up front; longer or unsized bodies are read
@@ -263,8 +257,8 @@ func New(cfg Config) (*Gate, error) {
 	g := &Gate{
 		cfg:     cfg,
 		ring:    NewRing(urls),
-		flight:  cas.NewFlight[*upstreamResult](cfg.Shards),
-		routes:  cas.NewLRU[serve.Key](routeMemoEntries, cfg.Shards),
+		flight:  cas.NewFlight[*upstreamResult](shards),
+		routes:  cas.NewLRU[serve.Key](routeMemoEntries, shards),
 		client:  cfg.Client,
 		mux:     http.NewServeMux(),
 		streams: make(map[serve.Key]*streamFlight),
@@ -348,7 +342,7 @@ func (g *Gate) Start(ctx context.Context) {
 // loop's body; exported so tests can step the clock deterministically).
 func (g *Gate) ProbeNow(ctx context.Context) {
 	for _, b := range g.backends {
-		probeCtx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+		probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 		ok := g.probe(probeCtx, b)
 		cancel()
 		switch {
@@ -431,18 +425,18 @@ func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		body []byte
 		err  error
 	)
-	if n := r.ContentLength; n >= 0 && n <= g.cfg.MaxBodyBytes {
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
 		body, err = readExact(r.Body, n)
 	} else {
-		body, err = io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	}
 	if err != nil {
 		writeProblem(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return nil, false
 	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
+	if int64(len(body)) > maxBodyBytes {
 		writeProblem(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes))
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
 		return nil, false
 	}
 	return body, true

@@ -29,25 +29,14 @@ func TestMonteCarloEnsembleBatchInvariance(t *testing.T) {
 		}
 		samples[i] = v
 	}
-	base, err := NewDistribution(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, batch := range []int{1, 7, 300, 1000, 0} { // 0 = auto
-			d, err := MonteCarlo(context.Background(), 300, 42, workers, batch, model, perDay(day), nil)
+			days, err := MonteCarlo(context.Background(), 300, 42, workers, batch, model, perDay(day), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.N() != base.N() || d.Mean() != base.Mean() || d.Min() != base.Min() || d.Max() != base.Max() {
-				t.Fatalf("workers=%d batch=%d: distribution differs from per-day reference", workers, batch)
-			}
-			for _, p := range []float64{50, 90, 99} {
-				a, _ := base.Percentile(p)
-				b, _ := d.Percentile(p)
-				if a != b {
-					t.Fatalf("workers=%d batch=%d: p%v %v != %v", workers, batch, p, b, a)
-				}
+			if i := firstBitDiff(days, samples); i >= 0 {
+				t.Fatalf("workers=%d batch=%d: day %d differs from the per-day reference", workers, batch, i)
 			}
 		}
 	}

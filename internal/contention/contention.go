@@ -2,16 +2,15 @@
 // LCLS study observed the shared external path swing 5x between "good days"
 // and "bad days"; this package turns that anecdote into a distribution:
 // deterministic pseudo-random day sampling (two-state and lognormal
-// models), Monte Carlo makespan estimation over any run function, and
-// percentile summaries — the quantitative basis for end-to-end QOS
-// arguments.
+// models) and Monte Carlo makespan estimation over any run function, whose
+// day makespans sweep.Summarize condenses into percentile summaries — the
+// quantitative basis for end-to-end QOS arguments.
 package contention
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"wroofline/internal/sweep"
@@ -133,75 +132,6 @@ func (l Lognormal) Sample(r *RNG) units.ByteRate {
 	return units.ByteRate(float64(l.Base) / factor)
 }
 
-// Distribution summarizes Monte Carlo samples.
-type Distribution struct {
-	sorted []float64
-}
-
-// NewDistribution copies and sorts the samples.
-func NewDistribution(samples []float64) (*Distribution, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("contention: empty sample set")
-	}
-	return sortedDistribution(append([]float64(nil), samples...))
-}
-
-// sortedDistribution sorts samples in place and keeps them: the caller
-// hands over a slice nothing else holds.
-func sortedDistribution(samples []float64) (*Distribution, error) {
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("contention: NaN sample")
-		}
-	}
-	sort.Float64s(samples)
-	return &Distribution{sorted: samples}, nil
-}
-
-// N returns the sample count.
-func (d *Distribution) N() int { return len(d.sorted) }
-
-// Min and Max return the extreme samples.
-func (d *Distribution) Min() float64 { return d.sorted[0] }
-
-// Max returns the largest sample.
-func (d *Distribution) Max() float64 { return d.sorted[len(d.sorted)-1] }
-
-// Mean returns the sample mean.
-func (d *Distribution) Mean() float64 {
-	sum := 0.0
-	for _, v := range d.sorted {
-		sum += v
-	}
-	return sum / float64(len(d.sorted))
-}
-
-// Percentile returns the p-quantile (0 <= p <= 100) by nearest-rank with
-// linear interpolation (sweep.Quantile).
-func (d *Distribution) Percentile(p float64) (float64, error) {
-	if p < 0 || p > 100 || math.IsNaN(p) {
-		return 0, fmt.Errorf("contention: percentile must be in [0,100], got %v", p)
-	}
-	return sweep.Quantile(d.sorted, p), nil
-}
-
-// TailRatio returns P99/P50 — the "tail at scale" figure of merit for the
-// workflow's service responsiveness.
-func (d *Distribution) TailRatio() (float64, error) {
-	p50, err := d.Percentile(50)
-	if err != nil {
-		return 0, err
-	}
-	p99, err := d.Percentile(99)
-	if err != nil {
-		return 0, err
-	}
-	if p50 == 0 {
-		return 0, fmt.Errorf("contention: zero median")
-	}
-	return p99 / p50, nil
-}
-
 // MonteCarlo draws n days from the sampler and evaluates their makespans
 // in contiguous chunks of sweep.ChunkSize(n, workers, batch) days on the
 // sweep scheduler (sweep.Workers semantics: workers <= 0 means GOMAXPROCS).
@@ -210,23 +140,24 @@ func (d *Distribution) TailRatio() (float64, error) {
 // executor (sim.Plan.RunBatch) consumes without per-day dispatch overhead;
 // a per-day evaluator simply loops over the chunk.
 //
-// Day i's RNG is seeded from (seed, i) via sweep.TrialSeed regardless of
-// chunk geometry, so the distribution is bit-identical at any worker count
+// It returns the day makespans in day order (sweep.Summarize condenses
+// them). Day i's RNG is seeded from (seed, i) via sweep.TrialSeed regardless
+// of chunk geometry, so the makespans are bit-identical at any worker count
 // and batch size; cancelling ctx aborts the remaining days.
 //
 // A non-nil progress is a completion-frontier callback
 // (sweep.MapChunksProgress semantics): it fires with strictly increasing
 // done counts and the stable makespan prefix, so a streaming caller can
 // summarize partial distributions while the ensemble is still running. The
-// final Distribution is bit-identical to a progress-free call.
-func MonteCarlo(ctx context.Context, n int, seed uint64, workers, batch int, s Sampler, run func(days []units.ByteRate, out []float64) error, progress func(done int, makespans []float64)) (*Distribution, error) {
+// returned makespans are bit-identical to a progress-free call.
+func MonteCarlo(ctx context.Context, n int, seed uint64, workers, batch int, s Sampler, run func(days []units.ByteRate, out []float64) error, progress func(done int, makespans []float64)) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("contention: need a positive sample count, got %d", n)
 	}
 	if s == nil || run == nil {
 		return nil, fmt.Errorf("contention: nil sampler or run function")
 	}
-	samples, err := sweep.MapChunksProgress(ctx, n, workers, batch, func(_ context.Context, lo, hi int, out []float64) error {
+	return sweep.MapChunksProgress(ctx, n, workers, batch, func(_ context.Context, lo, hi int, out []float64) error {
 		ds := dayPool.Get().(*dayScratch)
 		defer dayPool.Put(ds)
 		if cap(ds.days) < hi-lo {
@@ -248,12 +179,6 @@ func MonteCarlo(ctx context.Context, n int, seed uint64, workers, batch int, s S
 		}
 		return nil
 	}, progress)
-	if err != nil {
-		return nil, err
-	}
-	// samples is this call's own result slice (progress callbacks only
-	// borrowed prefixes of it), so it is sorted in place, not copied.
-	return sortedDistribution(samples)
 }
 
 // dayScratch is one chunk's day rates and the generator that draws them,

@@ -3,9 +3,11 @@ package contention
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"wroofline/internal/sweep"
 	"wroofline/internal/units"
 	"wroofline/internal/workloads"
 )
@@ -125,72 +127,6 @@ func TestLognormalSampler(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	d, err := NewDistribution([]float64{5, 1, 3, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 5 || d.Min() != 1 || d.Max() != 5 {
-		t.Errorf("summary: n=%d min=%v max=%v", d.N(), d.Min(), d.Max())
-	}
-	if d.Mean() != 3 {
-		t.Errorf("mean = %v", d.Mean())
-	}
-	p50, err := d.Percentile(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50 != 3 {
-		t.Errorf("p50 = %v", p50)
-	}
-	p0, _ := d.Percentile(0)
-	p100, _ := d.Percentile(100)
-	if p0 != 1 || p100 != 5 {
-		t.Errorf("p0=%v p100=%v", p0, p100)
-	}
-	// Interpolation between ranks.
-	p25, _ := d.Percentile(25)
-	if p25 != 2 {
-		t.Errorf("p25 = %v", p25)
-	}
-	p10, _ := d.Percentile(10)
-	if math.Abs(p10-1.4) > 1e-9 {
-		t.Errorf("p10 = %v, want 1.4", p10)
-	}
-	if _, err := d.Percentile(-1); err == nil {
-		t.Error("negative percentile should fail")
-	}
-	if _, err := d.Percentile(101); err == nil {
-		t.Error("percentile > 100 should fail")
-	}
-	if _, err := NewDistribution(nil); err == nil {
-		t.Error("empty distribution should fail")
-	}
-	if _, err := NewDistribution([]float64{math.NaN()}); err == nil {
-		t.Error("NaN sample should fail")
-	}
-	single, err := NewDistribution([]float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := single.Percentile(73)
-	if err != nil || v != 7 {
-		t.Errorf("single-sample percentile = %v, %v", v, err)
-	}
-}
-
-func TestNewDistributionCopies(t *testing.T) {
-	src := []float64{3, 1, 2}
-	d, err := NewDistribution(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src[0] = 99
-	if d.Max() == 99 {
-		t.Error("NewDistribution must copy its input")
-	}
-}
-
 // Monte Carlo over the LCLS simulation: two-state days reproduce the paper's
 // bimodal makespan (17 min / 85 min), and the tail ratio captures the 5x
 // swing.
@@ -213,32 +149,32 @@ func TestMonteCarloLCLS(t *testing.T) {
 		}
 		return res.Makespan, nil
 	}
-	d, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
+	days, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Determinism: same seed, same makespans.
+	again, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(days, again) {
+		t.Error("Monte Carlo is not deterministic for a fixed seed")
+	}
+	d, err := sweep.Summarize(days)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The distribution is bimodal at ~1021 and ~5021 (analysis constant in
 	// this setup; only loading swings).
-	if d.Min() < 1000 || d.Min() > 1100 {
-		t.Errorf("min = %v, want ~1021 (good day)", d.Min())
+	if d.Min < 1000 || d.Min > 1100 {
+		t.Errorf("min = %v, want ~1021 (good day)", d.Min)
 	}
-	if d.Max() < 4900 || d.Max() > 5200 {
-		t.Errorf("max = %v, want ~5021 (bad day)", d.Max())
+	if d.Max < 4900 || d.Max > 5200 {
+		t.Errorf("max = %v, want ~5021 (bad day)", d.Max)
 	}
-	ratio, err := d.TailRatio()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio < 1.5 {
-		t.Errorf("tail ratio = %v, want a heavy tail from contention", ratio)
-	}
-	// Determinism: same seed, same distribution.
-	d2, err := MonteCarlo(context.Background(), 50, 123, 1, 0, model, perDay(run), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mean() != d2.Mean() || d.Max() != d2.Max() {
-		t.Error("Monte Carlo is not deterministic for a fixed seed")
+	if d.TailRatio < 1.5 {
+		t.Errorf("tail ratio = %v, want a heavy tail from contention", d.TailRatio)
 	}
 }
 
@@ -276,7 +212,7 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		for i, v := range raw {
 			samples[i] = float64(v)
 		}
-		d, err := NewDistribution(samples)
+		d, err := sweep.Summarize(samples) // sorts samples in place
 		if err != nil {
 			return false
 		}
@@ -285,12 +221,8 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		pa, err1 := d.Percentile(a)
-		pb, err2 := d.Percentile(b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return pa <= pb+1e-9 && pa >= d.Min()-1e-9 && pb <= d.Max()+1e-9
+		pa, pb := sweep.Quantile(samples, a), sweep.Quantile(samples, b)
+		return pa <= pb+1e-9 && pa >= d.Min-1e-9 && pb <= d.Max+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"wroofline/internal/contention"
+	"wroofline/internal/sweep"
 	"wroofline/internal/units"
 )
 
@@ -16,7 +17,7 @@ func Example() {
 		Degraded: 0.2 * units.GBPS,
 		PBad:     0.3,
 	}
-	dist, err := contention.MonteCarlo(context.Background(), 200, 42, 1, 0, model,
+	days, err := contention.MonteCarlo(context.Background(), 200, 42, 1, 0, model,
 		func(days []units.ByteRate, out []float64) error {
 			for i, rate := range days {
 				out[i] = units.TimeToMove(1*units.TB, rate)
@@ -27,10 +28,13 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	p50, _ := dist.Percentile(50)
-	tail, _ := dist.TailRatio()
+	s, err := sweep.Summarize(days)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("min %.0f s, median %.0f s, max %.0f s, tail %.1fx\n",
-		dist.Min(), p50, dist.Max(), tail)
+		s.Min, s.P50, s.Max, s.TailRatio)
 	// Output:
 	// min 1000 s, median 1000 s, max 5000 s, tail 5.0x
 }

@@ -51,10 +51,6 @@ func FigureKey(name string) Key {
 	return contentKey("figure", name)
 }
 
-// HexKey renders a content address as lowercase hex (the peer API's wire
-// form).
-func HexKey(k Key) string { return hexKey(k) }
-
 // ParseHexKey parses the hex wire form back into a content address.
 func ParseHexKey(s string) (Key, error) {
 	raw, err := hex.DecodeString(s)

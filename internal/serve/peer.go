@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"strings"
@@ -49,9 +50,9 @@ func (s *Server) peerFill(r *http.Request, key Key) (Response, bool) {
 	if owner == "" || !s.peerAllowed[owner] {
 		return Response{}, false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+PeerFillPath+hexKey(key), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+PeerFillPath+hex.EncodeToString(key[:]), nil)
 	if err != nil {
 		return Response{}, false
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -141,7 +142,7 @@ func TestPeerFillEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, got, fillHdr := get(t, ts.URL+PeerFillPath+HexKey(key))
+	status, got, fillHdr := get(t, ts.URL+PeerFillPath+hex.EncodeToString(key[:]))
 	if status != http.StatusOK {
 		t.Fatalf("fill status = %d", status)
 	}
@@ -154,7 +155,7 @@ func TestPeerFillEndpoint(t *testing.T) {
 
 	var missing Key
 	missing[0] = 0xFF
-	if status, _, _ := get(t, ts.URL+PeerFillPath+HexKey(missing)); status != http.StatusNotFound {
+	if status, _, _ := get(t, ts.URL+PeerFillPath+hex.EncodeToString(missing[:])); status != http.StatusNotFound {
 		t.Errorf("unknown key status = %d, want 404", status)
 	}
 	if status, _, _ := get(t, ts.URL+PeerFillPath+"zzzz"); status != http.StatusBadRequest {
@@ -182,7 +183,7 @@ func TestKeyHelpers(t *testing.T) {
 	if k1 != k2 {
 		t.Error("formatting variants produced distinct model keys")
 	}
-	rt, err := ParseHexKey(HexKey(k1))
+	rt, err := ParseHexKey(hex.EncodeToString(k1[:]))
 	if err != nil || rt != k1 {
 		t.Errorf("hex round-trip: %v, equal=%v", err, rt == k1)
 	}

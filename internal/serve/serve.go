@@ -35,6 +35,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,10 +104,6 @@ type Config struct {
 	// 503 + a computed Retry-After. Zero disables rate shedding.
 	TenantRate  float64
 	TenantBurst float64
-	// RetryAfterHint is the Retry-After value stamped on queue-full and
-	// queue-timeout sheds, where no better estimate exists (default 1s).
-	// Rate-limit sheds compute their hint from the bucket refill horizon.
-	RetryAfterHint time.Duration
 	// Timeout is the per-request evaluation budget, covering both the queue
 	// wait and the evaluation itself (default 30s). A request may declare a
 	// shorter budget via the X-Deadline-Ms header; evaluations are never
@@ -114,8 +111,6 @@ type Config struct {
 	Timeout time.Duration
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// CurveSamples is the default /v1/model envelope resolution (default 64).
-	CurveSamples int
 	// Logger receives one structured record per request; nil discards.
 	Logger *slog.Logger
 	// Peers lists the base URLs of sibling replicas this server may fetch
@@ -126,14 +121,20 @@ type Config struct {
 	// endpoint is always mounted — it only serves already-rendered cached
 	// bytes by content address.
 	Peers []string
-	// PeerTimeout bounds one outbound peer cache-fill fetch (default 2s).
-	// A fill is an optimization: on timeout or error the server just
-	// evaluates locally.
-	PeerTimeout time.Duration
-	// PeerClient overrides the HTTP client for outbound fills (tests inject
-	// the in-process transport); nil builds one from PeerTimeout.
-	PeerClient *http.Client
 }
+
+const (
+	// retryAfterHint is the Retry-After value stamped on queue-full and
+	// queue-timeout sheds, where no better estimate exists. Rate-limit
+	// sheds compute their hint from the bucket refill horizon.
+	retryAfterHint = time.Second
+	// defaultCurveSamples is the /v1/model envelope resolution of a request
+	// that names none.
+	defaultCurveSamples = 64
+	// peerTimeout bounds one outbound peer cache-fill fetch. A fill is an
+	// optimization: on timeout or error the server just evaluates locally.
+	peerTimeout = 2 * time.Second
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -152,23 +153,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxWaiters <= 0 {
 		c.MaxWaiters = 64
 	}
-	if c.RetryAfterHint <= 0 {
-		c.RetryAfterHint = time.Second
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.CurveSamples <= 0 {
-		c.CurveSamples = 64
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -230,19 +222,16 @@ func New(cfg Config) *Server {
 		for _, p := range cfg.Peers {
 			s.peerAllowed[strings.TrimSuffix(p, "/")] = true
 		}
-		s.peerClient = cfg.PeerClient
-		if s.peerClient == nil {
-			s.peerClient = &http.Client{Timeout: cfg.PeerTimeout}
-		}
+		s.peerClient = &http.Client{Timeout: peerTimeout}
 	}
 	// The queue-full body names overload, not the timeout: a shed request
 	// never waited out the budget, it was rejected on arrival because the
 	// tenant's backlog was already hopeless. The timeout belongs only in
 	// the queue-timeout body, where it really is the cause.
 	s.errQueueFull = retryableError(http.StatusServiceUnavailable,
-		"evaluation queue full, request shed", cfg.RetryAfterHint)
+		"evaluation queue full, request shed", retryAfterHint)
 	s.errQueueTimeout = retryableError(http.StatusServiceUnavailable,
-		fmt.Sprintf("no evaluation slot became available within %v", cfg.Timeout), cfg.RetryAfterHint)
+		fmt.Sprintf("no evaluation slot became available within %v", cfg.Timeout), retryAfterHint)
 	s.errDeadline = precomputedError(http.StatusGatewayTimeout,
 		"deadline expired before evaluation started")
 	s.errTooLarge = precomputedError(http.StatusRequestEntityTooLarge,
@@ -677,7 +666,7 @@ func (s *Server) admit(ctx context.Context, tenant string) (func(), error) {
 			s.metrics.rateSheds.Add(1)
 			retry := aerr.retryAfter
 			if retry <= 0 {
-				retry = s.cfg.RetryAfterHint
+				retry = retryAfterHint
 			}
 			msg := fmt.Sprintf("tenant %q over admission rate, request shed", tenant)
 			return nil, &httpError{
@@ -736,18 +725,7 @@ func (s *Server) evaluate(parent context.Context, r *http.Request, compute func(
 // etagOf derives the strong validator from the body's content address.
 func etagOf(body []byte) string {
 	k := ContentKey("body", body)
-	return fmt.Sprintf("%q", "sha256-"+hexKey(k))
-}
-
-// hexKey renders a key as lowercase hex.
-func hexKey(k Key) string {
-	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 2*len(k))
-	for i, b := range k {
-		out[2*i] = hexdigits[b>>4]
-		out[2*i+1] = hexdigits[b&0xf]
-	}
-	return string(out)
+	return fmt.Sprintf("%q", "sha256-"+hex.EncodeToString(k[:]))
 }
 
 // ModelRequest is the /v1/model body: either a built-in case study by name
@@ -856,7 +834,7 @@ func (s *Server) evaluateModel(req *ModelRequest) (Response, error) {
 	}
 	samples := req.CurveSamples
 	if samples <= 0 {
-		samples = s.cfg.CurveSamples
+		samples = defaultCurveSamples
 	}
 	analysis, err := model.Analyze(points, samples)
 	if err != nil {

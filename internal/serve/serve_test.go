@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"testing"
 )
@@ -30,11 +29,12 @@ func TestEtagOf(t *testing.T) {
 	}
 }
 
+// TestHexKey pins the ETag's wire form: the quoted lowercase hex of the
+// body's content address behind a "sha256-" prefix.
 func TestHexKey(t *testing.T) {
-	k := Key(sha256.Sum256([]byte("x")))
-	h := hexKey(k)
-	if want := fmt.Sprintf("%x", k[:]); h != want {
-		t.Errorf("hexKey = %s, want %s", h, want)
+	k := ContentKey("body", []byte("x"))
+	if got, want := etagOf([]byte("x")), fmt.Sprintf(`"sha256-%x"`, k[:]); got != want {
+		t.Errorf("etag = %s, want %s", got, want)
 	}
 }
 

@@ -117,19 +117,18 @@ func progressFn[T any](total int, emit func(Progress), value func(T) (float64, b
 	if bufCap > summaryCap+1 {
 		bufCap = summaryCap + 1
 	}
-	// The run's snapshot state is one allocation. The Summarizer is
-	// reserved for the largest snapshot so all ~64 of them sort in place;
-	// callbacks are serialized under the frontier lock, so the shared
-	// scratch needs no locking. counted and kept tally the prefix for
-	// stride-sampled snapshots, which still report every kept result in N;
-	// prefixes only grow, so each result is tallied once.
+	// The run's snapshot state is one allocation. buf is sized for the
+	// largest snapshot and refilled from the prefix at every snapshot, so
+	// Summarize sorts it in place; callbacks are serialized under the
+	// frontier lock, so the shared buffer needs no locking. counted and kept
+	// tally the prefix for stride-sampled snapshots, which still report
+	// every kept result in N; prefixes only grow, so each result is tallied
+	// once.
 	st := &struct {
 		th            progressThrottle
 		buf           []float64
-		z             sweep.Summarizer
 		counted, kept int
 	}{th: *newProgressThrottle(total), buf: make([]float64, 0, bufCap)}
-	st.z.Reserve(bufCap)
 	return func(done int, prefix []T) {
 		if !st.th.take(done) {
 			return
@@ -154,7 +153,7 @@ func progressFn[T any](total int, emit func(Progress), value func(T) (float64, b
 			}
 			n = st.kept
 		}
-		s, err := st.z.Summarize(buf)
+		s, err := sweep.Summarize(buf)
 		if err != nil {
 			return
 		}

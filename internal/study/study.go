@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"wroofline/internal/archetype"
@@ -243,7 +242,7 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 	// repeated day rates (a two-state sampler yields two distinct trials per
 	// batch). Day seeding is chunk-independent, so the distribution is
 	// bit-identical to the per-trial path at any worker count or batch size.
-	d, err := contention.MonteCarlo(ctx, spec.Trials, spec.Seed, spec.Workers, spec.Batch, s,
+	days, err := contention.MonteCarlo(ctx, spec.Trials, spec.Seed, spec.Workers, spec.Batch, s,
 		func(days []units.ByteRate, out []float64) error {
 			cs := getChunkScratch(len(days))
 			defer cs.put()
@@ -271,23 +270,11 @@ func runMonteCarlo(ctx context.Context, spec *Spec, plans *plancache.Cache, emit
 	tbl := report.NewTable(
 		fmt.Sprintf("Monte Carlo makespan (s): %s, %d trials, seed %d", spec.Case, spec.Trials, spec.Seed),
 		"n", "min", "p50", "p90", "p99", "max", "mean", "p99/p50")
-	p50, err := d.Percentile(50)
+	sum, err := sweep.Summarize(days)
 	if err != nil {
 		return nil, err
 	}
-	p90, err := d.Percentile(90)
-	if err != nil {
-		return nil, err
-	}
-	p99, err := d.Percentile(99)
-	if err != nil {
-		return nil, err
-	}
-	tail, err := d.TailRatio()
-	if err != nil {
-		return nil, err
-	}
-	if err := tbl.AddRowf(fmt.Sprint(d.N()), d.Min(), p50, p90, p99, d.Max(), d.Mean(), tail); err != nil {
+	if err := tbl.AddRowf(fmt.Sprint(sum.N), sum.Min, sum.P50, sum.P90, sum.P99, sum.Max, sum.Mean, sum.TailRatio); err != nil {
 		return nil, err
 	}
 	return []*report.Table{tbl}, nil
@@ -439,32 +426,19 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	if finished == 0 {
 		return nil, err0
 	}
-	makespans, err := sweep.NewAgg(finished)
-	if err != nil {
-		return nil, err
-	}
-	retries, err := sweep.NewAgg(finished)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
+	makespans := make([]float64, 0, finished)
+	retries := make([]float64, 0, finished)
 	for _, tr := range trials {
-		if tr.unfinished {
-			continue
+		if !tr.unfinished {
+			makespans = append(makespans, tr.makespan)
+			retries = append(retries, float64(tr.retries))
 		}
-		if err := makespans.Add(i, tr.makespan, tr.label); err != nil {
-			return nil, err
-		}
-		if err := retries.Add(i, float64(tr.retries), ""); err != nil {
-			return nil, err
-		}
-		i++
 	}
-	ms, err := makespans.Summary()
+	ms, err := sweep.Summarize(makespans)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := retries.Summary()
+	rs, err := sweep.Summarize(retries)
 	if err != nil {
 		return nil, err
 	}
@@ -505,17 +479,12 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	}
 
 	hist := report.NewTable("Dominant retry phase histogram", "phase", "runs")
-	bins := makespans.Hist()
-	if unfinished := len(trials) - finished; unfinished > 0 {
-		// Insert the bin where Hist's order (count descending, then label)
-		// puts it.
-		at := 0
-		for at < len(bins) && (bins[at].Count > unfinished ||
-			bins[at].Count == unfinished && bins[at].Label < unfinishedLabel) {
-			at++
+	bins := sweep.Hist(len(trials), func(i int) string {
+		if trials[i].unfinished {
+			return unfinishedLabel
 		}
-		bins = slices.Insert(bins, at, sweep.HistBin{Label: unfinishedLabel, Count: unfinished})
-	}
+		return trials[i].label
+	})
 	for _, bin := range bins {
 		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
 			return nil, err
@@ -550,23 +519,21 @@ func runGrid(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, err := sweep.NewAgg(size)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := whatif.EvaluateGrid(ctx, cs.Model, p, g, spec.Workers, agg)
+	cells, err := whatif.EvaluateGrid(ctx, cs.Model, p, g, spec.Workers)
 	if err != nil {
 		return nil, err
 	}
 	grid := report.NewTable(
 		fmt.Sprintf("What-if grid: %s at p=%s (%d scenarios)", spec.Case, report.Num(p), size),
 		"scenario", "bound TPS", "speedup", "limited by")
-	for _, c := range cells {
+	bounds := make([]float64, len(cells))
+	for i, c := range cells {
 		if err := grid.AddRowf(c.Name, c.Outcome.BoundTPS, c.Outcome.Speedup, c.Outcome.Limiting); err != nil {
 			return nil, err
 		}
+		bounds[i] = c.Outcome.BoundTPS
 	}
-	s, err := agg.Summary()
+	s, err := sweep.Summarize(bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +543,7 @@ func runGrid(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 		return nil, err
 	}
 	hist := report.NewTable("Binding-ceiling histogram", "ceiling", "scenarios")
-	for _, bin := range agg.Hist() {
+	for _, bin := range sweep.Hist(len(cells), func(i int) string { return cells[i].Outcome.Limiting }) {
 		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
 			return nil, err
 		}
@@ -617,21 +584,14 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Archetype shape survey on %s/%s (%d shapes)", m.Name, partition, len(points)),
 		"shape", "width", "depth", "tasks", "wall", "bound TPS", "limited by")
-	agg, err := sweep.NewAgg(len(points))
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range points {
+	for _, pt := range points {
 		if err := tbl.AddRowf(pt.Shape, fmt.Sprint(pt.Width), fmt.Sprint(pt.Depth),
 			fmt.Sprint(pt.Tasks), fmt.Sprint(pt.Wall), pt.BoundTPS, pt.Limiting); err != nil {
 			return nil, err
 		}
-		if err := agg.Add(i, pt.BoundTPS, pt.Limiting); err != nil {
-			return nil, err
-		}
 	}
 	hist := report.NewTable("Binding-ceiling histogram", "ceiling", "shapes")
-	for _, bin := range agg.Hist() {
+	for _, bin := range sweep.Hist(len(points), func(i int) string { return points[i].Limiting }) {
 		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
 			return nil, err
 		}
@@ -774,10 +734,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		sumMake   float64
 	}
 	perFam := make(map[string]*famAgg, len(families))
-	agg, err := sweep.NewAgg(spec.Count)
-	if err != nil {
-		return nil, err
-	}
+	makespans := make([]float64, len(scenarios))
 	for i, sc := range scenarios {
 		fa := perFam[sc.family]
 		if fa == nil {
@@ -788,9 +745,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		fa.tasks += sc.tasks
 		fa.sumBound += sc.boundTPS
 		fa.sumMake += sc.makespan
-		if err := agg.Add(i, sc.makespan, sc.limiting); err != nil {
-			return nil, err
-		}
+		makespans[i] = sc.makespan
 	}
 	famTbl := report.NewTable(
 		fmt.Sprintf("Generated corpus on %s: %d scenarios, seed %d", m.Name, spec.Count, spec.Seed),
@@ -811,7 +766,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 			return nil, err
 		}
 	}
-	s, err := agg.Summary()
+	s, err := sweep.Summarize(makespans)
 	if err != nil {
 		return nil, err
 	}
@@ -821,7 +776,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		return nil, err
 	}
 	hist := report.NewTable("Binding-ceiling histogram", "ceiling", "scenarios")
-	for _, bin := range agg.Hist() {
+	for _, bin := range sweep.Hist(len(scenarios), func(i int) string { return scenarios[i].limiting }) {
 		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
 			return nil, err
 		}

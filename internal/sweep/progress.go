@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -189,66 +187,4 @@ func (f *frontier) complete(c int, progress func(done int)) {
 		trials = f.n
 	}
 	progress(trials)
-}
-
-// Summarize condenses a completed sample slice into a Summary using the
-// same fixed-order arithmetic as Agg.Summary: mean summed in index order,
-// quantiles interpolated over a sorted copy. It exists so streaming callers
-// can summarize a stable prefix (samples[:done] from MapChunksProgress)
-// without building an Agg per snapshot. Loop callers should hold a
-// Summarizer instead — this form allocates a fresh sort buffer per call.
-func Summarize(samples []float64) (Summary, error) {
-	return new(Summarizer).Summarize(samples)
-}
-
-// Summarizer is Summarize with a reusable sort buffer. Progress callbacks
-// summarize a growing prefix once per frontier advance (~64 snapshots per
-// streamed request); a Summarizer reserved for the final prefix size sorts
-// every snapshot in place, allocation-free. Without Reserve the scratch is
-// reallocated whenever a prefix outgrows it — every snapshot of a growing
-// prefix. Not safe for concurrent use — MapChunksProgress serializes
-// progress callbacks, so a per-run Summarizer needs no lock.
-type Summarizer struct {
-	scratch []float64
-}
-
-// Reserve sizes the scratch for samples of up to n values.
-func (z *Summarizer) Reserve(n int) {
-	if cap(z.scratch) < n {
-		z.scratch = make([]float64, n)
-	}
-}
-
-// Summarize condenses samples exactly like the package-level Summarize,
-// reusing the Summarizer's scratch buffer for the sorted copy.
-func (z *Summarizer) Summarize(samples []float64) (Summary, error) {
-	if len(samples) == 0 {
-		return Summary{}, fmt.Errorf("sweep: summary of empty ensemble")
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	z.Reserve(len(samples))
-	sorted := z.scratch[:len(samples)]
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	// sort.Float64s treats NaN as less than everything, so any NaN in the
-	// ensemble is at the front after sorting.
-	if math.IsNaN(sorted[0]) {
-		return Summary{}, fmt.Errorf("sweep: summary of ensemble containing NaN")
-	}
-	s := Summary{
-		N:    len(samples),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		Mean: sum / float64(len(samples)),
-		P50:  Quantile(sorted, 50),
-		P90:  Quantile(sorted, 90),
-		P99:  Quantile(sorted, 99),
-	}
-	if s.P50 != 0 {
-		s.TailRatio = s.P99 / s.P50
-	}
-	return s, nil
 }

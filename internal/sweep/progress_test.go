@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 )
@@ -143,36 +142,5 @@ func TestMapChunksProgressError(t *testing.T) {
 	}
 	if maxDone > 50 {
 		t.Errorf("frontier advanced to %d past the failing chunk at 50", maxDone)
-	}
-}
-
-// TestSummarize pins the prefix-summary helper: quantiles from a known
-// distribution, the empty error, and NaN detection.
-func TestSummarize(t *testing.T) {
-	samples := make([]float64, 100)
-	for i := range samples {
-		samples[i] = float64(99 - i) // reversed, so sorting matters
-	}
-	s, err := Summarize(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 100 || s.Min != 0 || s.Max != 99 {
-		t.Errorf("n/min/max = %d/%v/%v, want 100/0/99", s.N, s.Min, s.Max)
-	}
-	if s.Mean != 49.5 {
-		t.Errorf("mean = %v, want 49.5", s.Mean)
-	}
-	if s.P50 < 45 || s.P50 > 55 || s.P99 < 95 {
-		t.Errorf("quantiles off: p50=%v p99=%v", s.P50, s.P99)
-	}
-	if s.TailRatio <= 1 {
-		t.Errorf("tail ratio = %v, want > 1 for a spread distribution", s.TailRatio)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty sample set accepted")
-	}
-	if _, err := Summarize([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN sample accepted")
 	}
 }

@@ -11,9 +11,9 @@
 //     so trial i draws the same values whether it runs first, last, or
 //     concurrently with trial j.
 //  2. Results land in index order. Map writes each trial's result into the
-//     trial's slot of a preallocated slice; aggregation then walks that
-//     slice (or sorts a copy), so the output never depends on which worker
-//     finished first.
+//     trial's slot of a preallocated slice; summaries then walk that slice
+//     in index order (Summarize), so the output never depends on which
+//     worker finished first.
 //
 // Cancellation flows through context.Context: the first trial error — or a
 // cancelled parent context — stops the remaining trials.

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,126 +156,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(5) != 5 {
 		t.Error("positive requests pass through")
-	}
-}
-
-func TestAggStreamingSummary(t *testing.T) {
-	const n = 1000
-	agg, err := NewAgg(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed from several goroutines in scrambled order, as the pool would.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 4 {
-				label := "even"
-				if i%2 == 1 {
-					label = "odd"
-				}
-				if err := agg.Add(i, float64(i), label); err != nil {
-					t.Error(err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if agg.Count() != n {
-		t.Fatalf("count = %d", agg.Count())
-	}
-	s, err := agg.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != n || s.Min != 0 || s.Max != n-1 {
-		t.Errorf("summary: %+v", s)
-	}
-	if math.Abs(s.Mean-float64(n-1)/2) > 1e-9 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if math.Abs(s.P50-float64(n-1)/2) > 1e-9 {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if s.P99 < s.P90 || s.P90 < s.P50 {
-		t.Errorf("quantiles not monotone: %+v", s)
-	}
-	wantTail := s.P99 / s.P50
-	if s.TailRatio != wantTail {
-		t.Errorf("tail = %v, want %v", s.TailRatio, wantTail)
-	}
-	hist := agg.Hist()
-	if len(hist) != 2 || hist[0].Count != 500 || hist[1].Count != 500 {
-		t.Fatalf("hist = %+v", hist)
-	}
-	// Equal counts tie-break by label.
-	if hist[0].Label != "even" || hist[1].Label != "odd" {
-		t.Errorf("hist order = %+v", hist)
-	}
-}
-
-func TestAggErrors(t *testing.T) {
-	if _, err := NewAgg(0); err == nil {
-		t.Error("zero-size aggregator should fail")
-	}
-	agg, err := NewAgg(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.Add(5, 1, ""); err == nil {
-		t.Error("out-of-range index should fail")
-	}
-	if err := agg.Add(0, math.NaN(), ""); err == nil {
-		t.Error("NaN should fail")
-	}
-	if err := agg.Add(0, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.Add(0, 2, ""); err == nil {
-		t.Error("duplicate index should fail")
-	}
-	if _, err := agg.Summary(); err == nil {
-		t.Error("incomplete ensemble summary should fail")
-	}
-}
-
-// Agg summaries must be bit-identical regardless of insertion order.
-func TestAggOrderIndependence(t *testing.T) {
-	const n = 257
-	build := func(order []int) Summary {
-		agg, err := NewAgg(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, i := range order {
-			// Values with enough mantissa structure that a different
-			// summation order would change the float sum.
-			if err := agg.Add(i, 1/float64(i+1), "x"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := agg.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	forward := make([]int, n)
-	backward := make([]int, n)
-	shuffled := make([]int, n)
-	for i := range forward {
-		forward[i] = i
-		backward[i] = n - 1 - i
-		shuffled[i] = i
-	}
-	sort.Slice(shuffled, func(a, b int) bool {
-		return TrialSeed(3, shuffled[a]) < TrialSeed(3, shuffled[b])
-	})
-	f, bw, sh := build(forward), build(backward), build(shuffled)
-	if f != bw || f != sh {
-		t.Errorf("summaries differ by insertion order:\n%+v\n%+v\n%+v", f, bw, sh)
 	}
 }
 

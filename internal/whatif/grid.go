@@ -105,10 +105,9 @@ type Cell struct {
 }
 
 // EvaluateGrid evaluates every cell of the grid at p parallel tasks on the
-// sweep worker pool, feeding the aggregator (when non-nil) with each cell's
-// bound and binding ceiling as cells complete. Cells come back in row-major
-// order, bit-identical at any worker count.
-func EvaluateGrid(ctx context.Context, base *core.Model, p float64, g Grid, workers int, agg *sweep.Agg) ([]Cell, error) {
+// sweep worker pool. Cells come back in row-major order, bit-identical at
+// any worker count.
+func EvaluateGrid(ctx context.Context, base *core.Model, p float64, g Grid, workers int) ([]Cell, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,12 +136,6 @@ func EvaluateGrid(ctx context.Context, base *core.Model, p float64, g Grid, work
 			}
 		}
 		bound, limit := m.Bound(p)
-		cell := Cell{Index: i, Name: name, Outcome: outcomeFor(name, m, p, bound, limit.Name, baseBound)}
-		if agg != nil {
-			if err := agg.Add(i, bound, limit.Name); err != nil {
-				return Cell{}, err
-			}
-		}
-		return cell, nil
+		return Cell{Index: i, Name: name, Outcome: outcomeFor(name, m, p, bound, limit.Name, baseBound)}, nil
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"wroofline/internal/core"
-	"wroofline/internal/sweep"
 )
 
 // gridModel is a two-ceiling model where either resource can end up binding
@@ -34,7 +33,7 @@ func TestGridSizeAndScenarioNames(t *testing.T) {
 	if err != nil || size != 12 {
 		t.Fatalf("size = %d, %v", size, err)
 	}
-	cells, err := EvaluateGrid(context.Background(), gridModel(), 8, g, 1, nil)
+	cells, err := EvaluateGrid(context.Background(), gridModel(), 8, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +60,12 @@ func TestEvaluateGridWorkerCountInvariance(t *testing.T) {
 		WallFactors: []float64{0.5, 1, 2},
 		IntraTask:   []IntraTaskOption{{K: 1}, {K: 2}},
 	}
-	base, err := EvaluateGrid(context.Background(), gridModel(), 16, g, 1, nil)
+	base, err := EvaluateGrid(context.Background(), gridModel(), 16, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got, err := EvaluateGrid(context.Background(), gridModel(), 16, g, workers, nil)
+		got, err := EvaluateGrid(context.Background(), gridModel(), 16, g, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,63 +75,46 @@ func TestEvaluateGridWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestEvaluateGridFeedsAggregator(t *testing.T) {
+// TestEvaluateGridLimitingCeilings pins each cell's binding ceiling, the
+// label the grid study's histogram counts.
+func TestEvaluateGridLimitingCeilings(t *testing.T) {
 	g := Grid{
 		Resources: []ResourceAxis{{Resource: core.ResFileSystem, Factors: []float64{1, 2, 4, 100}}},
 	}
-	size, err := g.Size()
+	cells, err := EvaluateGrid(context.Background(), gridModel(), 16, g, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	agg, err := sweep.NewAgg(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := EvaluateGrid(context.Background(), gridModel(), 16, g, 2, agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := agg.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != size {
-		t.Fatalf("agg n = %d, want %d", s.N, size)
 	}
 	// At p=16: fs binds at 2 TPS until scaled to 4x, where mem (8 TPS, tied
-	// but listed first) takes over; the histogram records both ceilings.
-	hist := agg.Hist()
-	labels := map[string]int{}
-	for _, h := range hist {
-		labels[h.Label] = h.Count
+	// but listed first) takes over.
+	var got []string
+	for _, c := range cells {
+		got = append(got, c.Outcome.Limiting)
 	}
-	if labels["fs"] != 2 || labels["mem"] != 2 {
-		t.Errorf("hist = %+v", hist)
-	}
-	if cells[3].Outcome.Limiting != "mem" {
-		t.Errorf("100x fs cell limited by %q, want mem", cells[3].Outcome.Limiting)
+	if want := []string{"fs", "fs", "mem", "mem"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("limiting ceilings = %v, want %v", got, want)
 	}
 }
 
 func TestEvaluateGridDefaultsAndErrors(t *testing.T) {
 	// An all-empty grid is the single base cell.
-	cells, err := EvaluateGrid(context.Background(), gridModel(), 4, Grid{}, 1, nil)
+	cells, err := EvaluateGrid(context.Background(), gridModel(), 4, Grid{}, 1)
 	if err != nil || len(cells) != 1 || cells[0].Name != "base" {
 		t.Fatalf("empty grid: %+v, %v", cells, err)
 	}
 	if cells[0].Outcome.Speedup != 1 {
 		t.Errorf("base speedup = %v", cells[0].Outcome.Speedup)
 	}
-	if _, err := EvaluateGrid(context.Background(), gridModel(), 0, Grid{}, 1, nil); err == nil {
+	if _, err := EvaluateGrid(context.Background(), gridModel(), 0, Grid{}, 1); err == nil {
 		t.Error("non-positive p should fail")
 	}
 	bad := Grid{Resources: []ResourceAxis{{Resource: core.ResMemory, Factors: []float64{-1}}}}
-	if _, err := EvaluateGrid(context.Background(), gridModel(), 4, bad, 1, nil); err == nil {
+	if _, err := EvaluateGrid(context.Background(), gridModel(), 4, bad, 1); err == nil {
 		t.Error("negative factor should fail")
 	}
 	// Scaling a resource the model lacks fails, with the scenario named.
 	missing := Grid{Resources: []ResourceAxis{{Resource: core.ResCompute, Factors: []float64{2}}}}
-	if _, err := EvaluateGrid(context.Background(), gridModel(), 4, missing, 1, nil); err == nil {
+	if _, err := EvaluateGrid(context.Background(), gridModel(), 4, missing, 1); err == nil {
 		t.Error("missing resource should fail")
 	}
 }

@@ -153,6 +153,19 @@ else
     fail=1
 fi
 
+# The ensemble summary wall: every ensemble report (Monte Carlo, grid,
+# survey, corpus, failures) summarizes its own result slice with
+# sweep.Summarize and counts labels with sweep.Hist, so these packages and
+# the transcripts that print their summaries are the proof that the one
+# summary rule reproduces every table byte for byte.
+echo "== ensemble summary wall =="
+if go test -race -count=1 ./internal/sweep ./internal/whatif ./internal/contention ./internal/study &&
+   go test -count=1 ./cmd/wfsweep ./examples/custom -run 'TestGolden'; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # wfbench is its own Go module, so the root go test ./... never compiles
 # it: an API break in plancache/serve/study/cluster would otherwise pass
 # unnoticed until the benchmark runs.
