@@ -204,7 +204,12 @@ func TestRunBadFlags(t *testing.T) {
 // the end. A buffering gate would make time-to-first-event equal the total
 // stream time; a flushing one makes it a small fraction.
 func TestRunStreamsIncrementally(t *testing.T) {
-	replica := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	// One evaluation worker leaves a P free on a 2-CPU host. With every P
+	// busy simulating, the goroutines that carry a frame from the replica
+	// through the gate to this client only run when the scheduler preempts
+	// a worker (every ~10 ms), and the first frame's latency measures that,
+	// not the gate's flushing.
+	replica := httptest.NewServer(serve.New(serve.Config{Workers: 1}).Handler())
 	defer replica.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -223,6 +228,24 @@ func TestRunStreamsIncrementally(t *testing.T) {
 		t.Fatalf("run exited before listening: %v", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("gate never became ready")
+	}
+
+	// Warm up through the gate with a small sweep on the same case: the
+	// replica compiles and caches the case plan, and the gate opens its
+	// upstream connection, so the timed stream's first frame measures
+	// streaming rather than a cold compile and dial.
+	warm, err := http.Post("http://"+addr+"/v1/sweep", "application/json", strings.NewReader(
+		`{"kind":"montecarlo","case":"lcls-cori","trials":16,"seed":1,`+
+			`"sampler":{"model":"twostate","base":"1 GB/s","degraded":"0.2 GB/s","p_bad":0.4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, warm.Body); err != nil {
+		t.Fatal(err)
+	}
+	warm.Body.Close()
+	if warm.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up sweep: status %d", warm.StatusCode)
 	}
 
 	// Big enough that evaluation takes a measurable while relative to the

@@ -187,12 +187,15 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("core: model %q has wall %d, need >= 1", m.Title, m.Wall)
 	}
 	for _, c := range m.Ceilings {
-		if c.TimePerTask <= 0 || math.IsNaN(c.TimePerTask) || math.IsInf(c.TimePerTask, 0) {
+		if c.TimePerTask <= 0 || invalidTime(c.TimePerTask) {
 			return fmt.Errorf("core: model %q ceiling %q has invalid time %v", m.Title, c.Name, c.TimePerTask)
 		}
 	}
 	return nil
 }
+
+// invalidTime reports a ceiling time no bound can use.
+func invalidTime(t float64) bool { return math.IsNaN(t) || math.IsInf(t, 0) }
 
 // Bound evaluates Eq. (1): the attainable TPS at p parallel tasks and the
 // ceiling that limits it. p is clipped at the wall first (the region beyond
@@ -407,78 +410,146 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 	if err != nil {
 		return nil, err
 	}
+	cs, err := ceilingTimes(m, part, w.Partition, w.Name, w.MaxWorkPerTask(), w.MaxTaskNodes(), opts)
+	if err != nil {
+		return nil, err
+	}
+	model := &Model{
+		Title: w.Name + " on " + m.Name + "/" + part.Name,
+		Wall:  cs.wall,
+	}
+	for _, c := range cs.list() {
+		if c.time <= 0 {
+			continue // AddCeiling would skip it unnamed
+		}
+		model.AddCeiling(Ceiling{
+			Name:        c.name(opts),
+			Resource:    c.res,
+			Scope:       c.scope,
+			TimePerTask: c.time,
+		})
+	}
+	model.SetTargets(w.Targets, w.TotalTasks())
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	return model, nil
+}
+
+// WallBound is what Build(...).BoundAtWall() returns — the bound at the
+// parallelism wall and the resource of the ceiling that sets it — for a
+// workflow on the partition whose component-wise maximum work vector is
+// work and whose widest task needs maxTaskNodes nodes, with default build
+// options. It runs Build's ceiling arithmetic, breaks ties in Build's
+// ceiling order, and names no ceiling. It fails whenever Build would; its
+// error messages name no workflow or ceiling.
+func WallBound(m *machine.Machine, partition string, work workflow.Work, maxTaskNodes int) (float64, Resource, error) {
+	if err := m.Validate(); err != nil {
+		return 0, 0, err
+	}
+	part, err := m.Partition(partition)
+	if err != nil {
+		return 0, 0, err
+	}
+	cs, err := ceilingTimes(m, part, partition, "", work, maxTaskNodes, BuildOptions{})
+	if err != nil {
+		return 0, 0, err
+	}
+	// Model.Validate and Model.Bound over unnamed ceilings, without a Model:
+	// one holding the ceilings would escape through Validate's error path.
+	p := float64(cs.wall)
+	tps, limit, n := math.Inf(1), Ceiling{}, 0
+	for _, c := range cs.list() {
+		if c.time <= 0 {
+			continue
+		}
+		if invalidTime(c.time) {
+			return 0, 0, fmt.Errorf("core: %s ceiling has invalid time %v", c.res, c.time)
+		}
+		n++
+		cl := Ceiling{Resource: c.res, Scope: c.scope, TimePerTask: c.time}
+		if v := cl.TPSAt(p); v < tps {
+			tps, limit = v, cl
+		}
+	}
+	if n == 0 {
+		return 0, 0, fmt.Errorf("core: workflow has no ceilings")
+	}
+	return tps, limit.Resource, nil
+}
+
+// ceilingTime is one ceiling before naming: its resource and scope, the
+// per-task volume and the peak it is moved or computed at, and the time at
+// peak. A non-positive time marks an unused resource.
+type ceilingTime struct {
+	res   Resource
+	scope Scope
+	vol   float64
+	peak  float64
+	time  float64
+}
+
+// ceilingSet is the wall plus every ceiling Build considers, in
+// presentation order.
+type ceilingSet struct {
+	wall int
+	n    int
+	c    [8]ceilingTime
+}
+
+func (s *ceilingSet) list() []ceilingTime { return s.c[:s.n] }
+
+func (s *ceilingSet) add(res Resource, scope Scope, vol, peak, time float64) {
+	s.c[s.n] = ceilingTime{res: res, scope: scope, vol: vol, peak: peak, time: time}
+	s.n++
+}
+
+// ceilingTimes is Build's arithmetic: the wall from node counts, and each
+// ceiling's time from the heaviest task's work (work) and the widest task's
+// node count (req). name labels the workflow in errors.
+func ceilingTimes(m *machine.Machine, part *machine.Partition, partition, name string,
+	work workflow.Work, req int, opts BuildOptions) (ceilingSet, error) {
+	var cs ceilingSet
 	nodes := part.Nodes
 	if opts.AvailableNodes > 0 {
 		nodes = opts.AvailableNodes
 	}
-	req := w.MaxTaskNodes()
 	if req > nodes {
-		return nil, fmt.Errorf("core: workflow %s needs %d nodes per task but only %d are available",
-			w.Name, req, nodes)
+		return cs, fmt.Errorf("core: workflow %s needs %d nodes per task but only %d are available",
+			name, req, nodes)
 	}
-	wall := nodes / req
+	cs.wall = nodes / req
 
-	work := w.MaxWorkPerTask()
-	model := &Model{
-		Title: w.Name + " on " + m.Name + "/" + part.Name,
-		Wall:  wall,
-	}
-
-	model.AddCeiling(Ceiling{
-		Name:        "Compute: " + work.Flops.String() + " @ " + part.NodeFlops.String(),
-		Resource:    ResCompute,
-		Scope:       ScopeNode,
-		TimePerTask: units.TimeToCompute(work.Flops, part.NodeFlops),
-	})
+	cs.add(ResCompute, ScopeNode, float64(work.Flops), float64(part.NodeFlops),
+		units.TimeToCompute(work.Flops, part.NodeFlops))
 	// NUMA topologies lower the memory peak below the flat node aggregate;
 	// for machines without a NUMA block EffectiveMemBW is exactly NodeMemBW.
 	memBW := part.EffectiveMemBW()
-	model.AddCeiling(Ceiling{
-		Name:        "Memory: " + work.MemBytes.String() + " @ " + memBW.String(),
-		Resource:    ResMemory,
-		Scope:       ScopeNode,
-		TimePerTask: units.TimeToMove(work.MemBytes, memBW),
-	})
-	model.AddCeiling(Ceiling{
-		Name:        "PCIe: " + work.PCIeBytes.String() + " @ " + part.NodePCIeBW.String(),
-		Resource:    ResPCIe,
-		Scope:       ScopeNode,
-		TimePerTask: units.TimeToMove(work.PCIeBytes, part.NodePCIeBW),
-	})
+	cs.add(ResMemory, ScopeNode, float64(work.MemBytes), float64(memBW),
+		units.TimeToMove(work.MemBytes, memBW))
+	cs.add(ResPCIe, ScopeNode, float64(work.PCIeBytes), float64(part.NodePCIeBW),
+		units.TimeToMove(work.PCIeBytes, part.NodePCIeBW))
 	// Network bytes are characterized per node and ride the per-node NIC
 	// injection bandwidth, but the paper draws the network as a shared
 	// system ceiling (Fig 1); the per-node ratio is p-invariant either way.
-	model.AddCeiling(Ceiling{
-		Name:        "Network: " + work.NetworkBytes.String() + "/node @ " + part.NodeNICBW.String(),
-		Resource:    ResNetwork,
-		Scope:       ScopeSystem,
-		TimePerTask: units.TimeToMove(work.NetworkBytes, part.NodeNICBW),
-	})
+	cs.add(ResNetwork, ScopeSystem, float64(work.NetworkBytes), float64(part.NodeNICBW),
+		units.TimeToMove(work.NetworkBytes, part.NodeNICBW))
 	// Ridgeline-style fabrics add a second network ceiling: the per-task
 	// bisection load (the task's injected bytes across all its nodes, of
 	// which BisectionShare crosses the cut) over the fabric's aggregate
 	// bisection bandwidth. Machines without a bisection entry model a
 	// full-bisection fabric and add nothing.
-	if bisBW, ok := m.BisectionBW[w.Partition]; ok && work.NetworkBytes > 0 {
+	if bisBW, ok := m.BisectionBW[partition]; ok && work.NetworkBytes > 0 {
 		vol := units.Bytes(float64(work.NetworkBytes) * float64(req) * machine.BisectionShare)
-		model.AddCeiling(Ceiling{
-			Name:        "Bisection: " + vol.String() + "/task @ " + bisBW.String(),
-			Resource:    ResBisection,
-			Scope:       ScopeSystem,
-			TimePerTask: units.TimeToMove(vol, bisBW),
-		})
+		cs.add(ResBisection, ScopeSystem, float64(vol), float64(bisBW), units.TimeToMove(vol, bisBW))
 	}
 	if work.FSBytes > 0 {
-		fsBW, err := m.FSBandwidth(w.Partition)
+		fsBW, err := m.FSBandwidth(partition)
 		if err != nil {
-			return nil, err
+			return cs, err
 		}
-		model.AddCeiling(Ceiling{
-			Name:        "File System: " + work.FSBytes.String() + " @ " + fsBW.String(),
-			Resource:    ResFileSystem,
-			Scope:       ScopeSystem,
-			TimePerTask: units.TimeToMove(work.FSBytes, fsBW),
-		})
+		cs.add(ResFileSystem, ScopeSystem, float64(work.FSBytes), float64(fsBW),
+			units.TimeToMove(work.FSBytes, fsBW))
 	}
 	if work.ExternalBytes > 0 {
 		ext := m.ExternalBW
@@ -486,32 +557,43 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 			ext = opts.ExternalBW
 		}
 		if ext <= 0 {
-			return nil, fmt.Errorf("core: workflow %s stages external data but machine %s has no external bandwidth",
-				w.Name, m.Name)
+			return cs, fmt.Errorf("core: workflow %s stages external data but machine %s has no external bandwidth",
+				name, m.Name)
 		}
-		model.AddCeiling(Ceiling{
-			Name:        "System External: " + work.ExternalBytes.String() + " @ " + ext.String(),
-			Resource:    ResExternal,
-			Scope:       ScopeSystem,
-			TimePerTask: units.TimeToMove(work.ExternalBytes, ext),
-		})
+		cs.add(ResExternal, ScopeSystem, float64(work.ExternalBytes), float64(ext),
+			units.TimeToMove(work.ExternalBytes, ext))
 	}
 	if opts.OverheadSeconds > 0 {
+		cs.add(ResOverhead, ScopeNode, 0, 0, opts.OverheadSeconds)
+	}
+	return cs, nil
+}
+
+// name renders the ceiling's display label.
+func (c *ceilingTime) name(opts BuildOptions) string {
+	switch c.res {
+	case ResCompute:
+		return "Compute: " + units.Flops(c.vol).String() + " @ " + units.FlopRate(c.peak).String()
+	case ResOverhead:
 		name := opts.OverheadName
 		if name == "" {
 			name = "Control-flow overhead"
 		}
-		model.AddCeiling(Ceiling{
-			Name:        fmt.Sprintf("%s: %.4gs/task", name, opts.OverheadSeconds),
-			Resource:    ResOverhead,
-			Scope:       ScopeNode,
-			TimePerTask: opts.OverheadSeconds,
-		})
+		return fmt.Sprintf("%s: %.4gs/task", name, opts.OverheadSeconds)
 	}
-
-	model.SetTargets(w.Targets, w.TotalTasks())
-	if err := model.Validate(); err != nil {
-		return nil, err
+	vol, peak := units.Bytes(c.vol).String(), units.ByteRate(c.peak).String()
+	switch c.res {
+	case ResMemory:
+		return "Memory: " + vol + " @ " + peak
+	case ResPCIe:
+		return "PCIe: " + vol + " @ " + peak
+	case ResNetwork:
+		return "Network: " + vol + "/node @ " + peak
+	case ResBisection:
+		return "Bisection: " + vol + "/task @ " + peak
+	case ResFileSystem:
+		return "File System: " + vol + " @ " + peak
+	default:
+		return "System External: " + vol + " @ " + peak
 	}
-	return model, nil
 }

@@ -129,13 +129,6 @@ func (g *Graph) SuccIndices(i int) []int32 {
 	return f.succ[f.succOff[i]:f.succOff[i+1]]
 }
 
-// PredCount returns the number of distinct predecessors of the vertex at
-// insertion index i.
-func (g *Graph) PredCount(i int) int {
-	f := g.csr()
-	return int(f.predOff[i+1] - f.predOff[i])
-}
-
 // Succs returns the successors of id, sorted.
 func (g *Graph) Succs(id string) []string {
 	f := g.csr()

@@ -165,7 +165,7 @@ func sameGraph(t *testing.T, seed int64, g *Graph, ref *refGraph) bool {
 		return fail("ASCII", ascii, rascii)
 	}
 	// The index view agrees with the id view: distinct successors in
-	// insertion order, predecessor counts as Preds.
+	// insertion order.
 	for i, id := range nodes {
 		if j, ok := g.Index(id); !ok || j != i {
 			return fail("Index "+id, j, i)
@@ -178,9 +178,6 @@ func sameGraph(t *testing.T, seed int64, g *Graph, ref *refGraph) bool {
 			if !ref.succ[id][nodes[s]] || (k > 0 && succ[k-1] >= s) {
 				return fail("SuccIndices "+id, succ, ref.Succs(id))
 			}
-		}
-		if got, want := g.PredCount(i), len(ref.Preds(id)); got != want {
-			return fail("PredCount "+id, got, want)
 		}
 	}
 	if _, ok := g.Index("absent"); ok {

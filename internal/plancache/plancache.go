@@ -1,8 +1,9 @@
 // Package plancache is the second-level evaluation cache: a sharded,
 // size-bounded, content-addressed LRU keyed by the SHA-256 of a canonical
 // evaluation identity, holding the expensive *construction* artifacts —
-// compiled sim.Plans, built core.Models, and generated corpus scenarios —
-// that the response cache above it cannot reuse.
+// compiled sim.Plans, built core.Models, generated corpus scenarios and the
+// compiled corpus shapes they are drawn on — that the response cache above
+// it cannot reuse.
 //
 // The serve tier's response cache (internal/serve) only helps when the
 // request bytes recur exactly: a sweep that differs only in seed, trial
@@ -122,6 +123,26 @@ func ScenarioKey(spec *wfgen.Spec, machineName string) Key {
 	b = appendString(b, n.FS)
 	b = appendString(b, n.Payload)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.CV))
+	return finish(bp, b)
+}
+
+// ShapeKey addresses the compiled corpus shape of a generator spec on a
+// machine: the wfgen topology plus the simulator's work-free plan half
+// (sim.Shape). The identity is the resolved machine name plus the fields of
+// the normalized spec that either half reads — family, width, depth,
+// partition and nodes per task. Seed, CV and the work and payload volumes
+// only change the work a scenario draws onto the shape, so they stay out:
+// every scenario of a template shares one entry.
+func ShapeKey(spec *wfgen.Spec, machineName string) Key {
+	n := spec.Normalized()
+	bp := keyPool.Get().(*[]byte)
+	b := append((*bp)[:0], "shape\x00"...)
+	b = appendString(b, machineName)
+	b = appendString(b, n.Family)
+	b = binary.AppendVarint(b, int64(n.Width))
+	b = binary.AppendVarint(b, int64(n.Depth))
+	b = appendString(b, n.Partition)
+	b = binary.AppendVarint(b, int64(n.NodesPerTask))
 	return finish(bp, b)
 }
 

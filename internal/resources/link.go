@@ -71,11 +71,8 @@ func NewLink(eng *engine.Engine, name string, capacity, perFlowCap float64) (*Li
 	if eng == nil {
 		return nil, fmt.Errorf("resources: link %q needs an engine", name)
 	}
-	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("resources: link %q needs positive finite capacity, got %v", name, capacity)
-	}
-	if perFlowCap < 0 || math.IsNaN(perFlowCap) {
-		return nil, fmt.Errorf("resources: link %q has invalid per-flow cap %v", name, perFlowCap)
+	if err := CheckLink(name, capacity, perFlowCap); err != nil {
+		return nil, err
 	}
 	l := &Link{
 		Name:       name,
@@ -91,17 +88,26 @@ func NewLink(eng *engine.Engine, name string, capacity, perFlowCap float64) (*Li
 	return l, nil
 }
 
+// CheckLink reports the error NewLink and Reset return for these link
+// parameters, or nil when they are valid.
+func CheckLink(name string, capacity, perFlowCap float64) error {
+	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
+		return fmt.Errorf("resources: link %q needs positive finite capacity, got %v", name, capacity)
+	}
+	if perFlowCap < 0 || math.IsNaN(perFlowCap) {
+		return fmt.Errorf("resources: link %q has invalid per-flow cap %v", name, perFlowCap)
+	}
+	return nil
+}
+
 // Reset restores the link to an idle state with new parameters, for reuse
 // across pooled simulation trials. The flow free list, heap, and scratch
 // capacity are retained. It must only be called alongside an engine Reset
 // (or on a drained link): any still-armed completion event is forgotten, not
 // cancelled, because the engine reset may already have recycled it.
 func (l *Link) Reset(capacity, perFlowCap float64) error {
-	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return fmt.Errorf("resources: link %q needs positive finite capacity, got %v", l.Name, capacity)
-	}
-	if perFlowCap < 0 || math.IsNaN(perFlowCap) {
-		return fmt.Errorf("resources: link %q has invalid per-flow cap %v", l.Name, perFlowCap)
+	if err := CheckLink(l.Name, capacity, perFlowCap); err != nil {
+		return err
 	}
 	for _, f := range l.heap {
 		l.recycle(f)

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // The analytic fast path.
 //
@@ -51,8 +54,11 @@ func (p *Plan) computeAnalytic() {
 	// Event-budget parity: every node phase schedules exactly one engine
 	// event; zero-byte external/FS phases complete synchronously without
 	// one. (Non-zero external/FS phases are excluded above.)
+	sc := analyticPool.Get().(*analyticScratch)
+	defer analyticPool.Put(sc)
 	var events uint64
-	durs := make([]float64, p.slots)
+	durs := fit(sc.durs, p.slots)
+	sc.durs = durs
 	for i, prog := range p.programs {
 		off := p.phOff[i]
 		for j, ph := range prog {
@@ -61,7 +67,7 @@ func (p *Plan) computeAnalytic() {
 				durs[off+j] = 0
 			default:
 				events++
-				d, err := p.nodePhaseSeconds(p.tasks[i], ph)
+				d, err := p.nodePhaseSeconds(i, ph)
 				if err != nil || math.IsNaN(d) {
 					// The event loop reports this error; stay on it.
 					return
@@ -78,11 +84,13 @@ func (p *Plan) computeAnalytic() {
 	// and successor lists). ready[i] is task i's start: the max end over its
 	// predecessors, exactly the engine time at which its last dependency
 	// completes and submits it.
-	n := len(p.tasks)
-	indeg := make([]int, n)
+	n := p.total
+	indeg := fit(sc.indeg, n)
 	copy(indeg, p.preds)
-	ready := make([]float64, n)
-	queue := make([]int, 0, n)
+	ready := fit(sc.ready, n)
+	clear(ready)
+	queue := fit(sc.queue, n)[:0]
+	sc.indeg, sc.ready, sc.queue = indeg, ready, queue
 	for i, d := range indeg {
 		if d == 0 {
 			queue = append(queue, i)
@@ -119,12 +127,12 @@ func (p *Plan) computeAnalytic() {
 		if end > maxEnd {
 			maxEnd = end
 		}
-		for _, s := range p.succs[i] {
+		for _, s := range p.succ[p.succOff[i]:p.succOff[i+1]] {
 			if ready[s] < end {
 				ready[s] = end
 			}
 			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, s)
+				queue = append(queue, int(s))
 			}
 		}
 	}
@@ -143,3 +151,13 @@ func (p *Plan) computeAnalytic() {
 	}
 	p.analytic = &br
 }
+
+// analyticScratch is the longest-path pass's working storage: phase
+// durations, in-degrees, ready times and the Kahn queue. Passes take it from
+// analyticPool, so binding a plan allocates none of it.
+type analyticScratch struct {
+	durs, ready  []float64
+	indeg, queue []int
+}
+
+var analyticPool = sync.Pool{New: func() any { return new(analyticScratch) }}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"wroofline/internal/engine"
@@ -24,26 +23,17 @@ import (
 // node pool, links, the per-task state table, and the callback tables are
 // all reused across trials and plans).
 //
-// A Plan is immutable after Compile apart from its trial memo, a bounded
-// cache of pure results (failure-free trial scalars keyed by their resolved
-// inputs; see RunBatch), and safe for concurrent Run and RunBatch calls from
-// multiple goroutines; each call checks out its own scratch.
+// A plan is a Shape (the work-free half) bound to per-task programs (see
+// Shape.Bind). It is immutable after Compile apart from its trial memo, a
+// bounded cache of pure results (failure-free trial scalars keyed by their
+// resolved inputs; see RunBatch), and safe for concurrent Run and RunBatch
+// calls from multiple goroutines; each call checks out its own scratch.
 type Plan struct {
-	wf   *workflow.Workflow
-	cfg  Config
-	part *machine.Partition
+	shape
 
-	nodes        int
-	maxTaskNodes int
-	sumNodes     int
-	total        int
-
-	tasks    []*workflow.Task // ID-sorted, same order wf.Tasks() returns
 	programs []Program
-	preds    []int     // dependency counts by task index
-	succs    [][]int   // successor indices, in Succs' (ID-sorted) order
+	slab     Program   // backing storage of the default programs
 	staged   []float64 // per-task external+FS payload of the nominal program
-	taskHash []uint64  // per-task failure.TaskHash of the ID, seeding fault streams
 	phOff    []int     // phase slot offsets: task i's phase j is slot phOff[i]+j
 	slotTask []int32   // the task index owning each phase slot
 	slots    int       // total phase slots (phOff[len(tasks)])
@@ -51,13 +41,6 @@ type Plan struct {
 	needExternal bool
 	needFS       bool
 	needBis      bool // network phases exist and the fabric has a bisection limit
-	externalBW   float64
-	externalCap  float64
-	fsBW         float64
-	fsCap        float64
-	bisBW        float64
-	memBW        units.ByteRate // partition EffectiveMemBW, resolved once
-	maxEvents    uint64
 
 	// analytic is the precomputed longest-path result for plans the analytic
 	// fast path accepts (contention-free, failure-free — see analytic.go);
@@ -85,7 +68,8 @@ type Trial struct {
 }
 
 // Compile validates the workflow, programs, and configuration and returns a
-// reusable Plan. It reports the same errors Run does.
+// reusable Plan: the workflow's Shape bound to its tasks' programs. It
+// reports the same errors Run does.
 func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*Plan, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sim: nil machine")
@@ -102,172 +86,21 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 			return nil, fmt.Errorf("sim: program for unknown task %q", id)
 		}
 	}
-
-	nodes := part.Nodes
-	if cfg.AvailableNodes > 0 {
-		nodes = cfg.AvailableNodes
-	}
-	maxTaskNodes := wf.MaxTaskNodes()
-	if maxTaskNodes > nodes {
-		return nil, fmt.Errorf("sim: workflow %s needs %d nodes per task but only %d are available",
-			wf.Name, maxTaskNodes, nodes)
-	}
-
-	// Dry-construct the shared resources once so invalid parameters surface
-	// at compile time with the exact errors the per-trial construction would
-	// produce.
-	dry := engine.New()
-	if _, err := resources.NewPool(dry, part.Name, nodes); err != nil {
+	tasks := wf.Tasks()
+	var s Shape
+	if err := s.init(graphOf(wf, tasks), part, cfg); err != nil {
 		return nil, err
 	}
-
-	if cfg.Failures.Enabled() && cfg.Failures.Retry.MaxAttempts <= 0 {
-		return nil, fmt.Errorf("sim: failure model needs positive max attempts, got %d", cfg.Failures.Retry.MaxAttempts)
+	work := make([]workflow.Work, len(tasks))
+	for i, t := range tasks {
+		work[i] = t.Work
 	}
-
-	p := &Plan{
-		wf:           wf,
-		cfg:          cfg,
-		part:         part,
-		nodes:        nodes,
-		maxTaskNodes: maxTaskNodes,
-		total:        wf.TotalTasks(),
+	p := new(Plan)
+	if err := s.bind(p, work, programs); err != nil {
+		return nil, err
 	}
-
-	p.memBW = part.EffectiveMemBW()
-
-	// Resolve programs and validate them up front. Default programs are
-	// carved out of one slab, sized by a counting pass.
-	hasNetwork := false
-	p.tasks = wf.Tasks()
-	n := len(p.tasks)
-	defaults := 0
-	for _, t := range p.tasks {
-		if _, ok := programs[t.ID]; !ok {
-			defaults += defaultPhases(t)
-		}
-	}
-	slab := make(Program, 0, defaults)
-	p.programs = make([]Program, n)
-	p.staged = make([]float64, n)
-	p.taskHash = make([]uint64, n)
-	p.phOff = make([]int, n+1)
-	for i, t := range p.tasks {
-		prog, ok := programs[t.ID]
-		if !ok {
-			start := len(slab)
-			slab = appendDefaultProgram(slab, t)
-			if len(slab) > start {
-				prog = slab[start:len(slab):len(slab)]
-			}
-		}
-		for _, ph := range prog {
-			if err := ph.validate(); err != nil {
-				return nil, fmt.Errorf("sim: task %q: %w", t.ID, err)
-			}
-			switch ph.Kind {
-			case PhaseExternal:
-				if ph.Bytes > 0 {
-					p.needExternal = true
-				}
-			case PhaseFS:
-				if ph.Bytes > 0 {
-					p.needFS = true
-				}
-			case PhaseNetwork:
-				if ph.Bytes > 0 {
-					hasNetwork = true
-				}
-			}
-		}
-		p.programs[i] = prog
-		p.staged[i] = stagedBytes(prog)
-		p.taskHash[i] = failure.TaskHash(t.ID)
-		p.phOff[i] = p.slots
-		p.slots += len(prog)
-		p.sumNodes += t.Nodes
-	}
-	p.phOff[n] = p.slots
-	p.slotTask = make([]int32, p.slots)
-	for i := range p.tasks {
-		for k := p.phOff[i]; k < p.phOff[i+1]; k++ {
-			p.slotTask[k] = int32(i)
-		}
-	}
-
-	if p.needExternal {
-		ext := cfg.Machine.ExternalBW
-		if cfg.ExternalBW > 0 {
-			ext = cfg.ExternalBW
-		}
-		if ext <= 0 {
-			return nil, fmt.Errorf("sim: workflow %s stages external data but no external bandwidth is configured", wf.Name)
-		}
-		if _, err := resources.NewLink(dry, "external", float64(ext), float64(cfg.ExternalPerFlowCap)); err != nil {
-			return nil, err
-		}
-		p.externalBW = float64(ext)
-		p.externalCap = float64(cfg.ExternalPerFlowCap)
-	}
-	if p.needFS {
-		fsBW, err := cfg.Machine.FSBandwidth(wf.Partition)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := resources.NewLink(dry, "filesystem", float64(fsBW), float64(cfg.FSPerFlowCap)); err != nil {
-			return nil, err
-		}
-		p.fsBW = float64(fsBW)
-		p.fsCap = float64(cfg.FSPerFlowCap)
-	}
-	if bisBW, ok := cfg.Machine.BisectionBW[wf.Partition]; ok && hasNetwork {
-		if _, err := resources.NewLink(dry, "bisection", float64(bisBW), 0); err != nil {
-			return nil, err
-		}
-		p.needBis = true
-		p.bisBW = float64(bisBW)
-	}
-
-	// Dependency structure as index slices: counts in, successors out, read
-	// straight from the graph's insertion-indexed adjacency. rank maps a
-	// graph index to the task's (ID-sorted) plan index, so sorting a row of
-	// ranks puts it in Succs' order; all rows share one slab.
-	g := wf.Graph()
-	rank := make([]int, n)
-	edges := 0
-	p.preds = make([]int, n)
-	for i, t := range p.tasks {
-		gi, _ := g.Index(t.ID)
-		rank[gi] = i
-		p.preds[i] = g.PredCount(gi)
-		edges += p.preds[i]
-	}
-	flat := make([]int, edges)
-	p.succs = make([][]int, n)
-	for gi, i := range rank {
-		sux := g.SuccIndices(gi)
-		if len(sux) == 0 {
-			continue
-		}
-		row := flat[:len(sux):len(sux)]
-		flat = flat[len(sux):]
-		for j, s := range sux {
-			row[j] = rank[s]
-		}
-		slices.Sort(row)
-		p.succs[i] = row
-	}
-
-	p.maxEvents = cfg.MaxEvents
-	if p.maxEvents == 0 {
-		p.maxEvents = 10_000_000
-	}
-	p.computeAnalytic()
 	return p, nil
 }
-
-// Workflow returns the compiled workflow.
-func (p *Plan) Workflow() *workflow.Workflow { return p.wf }
 
 // resolveTrial applies a Trial's overrides to the compiled configuration:
 // the effective failure model (nil when disabled) and the external link
@@ -291,7 +124,7 @@ func (p *Plan) resolveTrial(trial Trial) (fm *failure.Model, externalBW, externa
 			ext = trial.ExternalBW
 		}
 		if p.needExternal && ext <= 0 {
-			return nil, 0, 0, fmt.Errorf("sim: workflow %s stages external data but no external bandwidth is configured", p.wf.Name)
+			return nil, 0, 0, fmt.Errorf("sim: workflow %s stages external data but no external bandwidth is configured", p.name)
 		}
 		externalBW = float64(ext)
 		externalCap = float64(trial.ExternalPerFlowCap)
@@ -330,7 +163,7 @@ func getTrialRun(p *Plan) *trialRun {
 // size.
 func (r *trialRun) bind(p *Plan) {
 	r.plan = p
-	n := len(p.tasks)
+	n := p.total
 	for i := len(r.startcb); i < n; i++ {
 		r.startcb = append(r.startcb, func() { r.startAttempt(i) })
 		r.retrycb = append(r.retrycb, func() { r.submit(i) })
@@ -545,7 +378,7 @@ func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap 
 	if r.faults != nil {
 		r.faults.arm()
 	}
-	for i := range p.tasks {
+	for i := 0; i < p.total; i++ {
 		if r.deps[i] == 0 {
 			r.submit(i)
 		}
@@ -591,17 +424,17 @@ func (r *trialRun) run(p *Plan, fm *failure.Model, externalBW, externalCap float
 		Recorder:       r.rec,
 		PeakNodesInUse: r.pool.PeakInUse(),
 	}
-	for i, t := range p.tasks {
-		res.Tasks[t.ID] = r.results[i]
+	for i, id := range p.ids {
+		res.Tasks[id] = r.results[i]
 	}
 	if mk > 0 {
 		res.Throughput = float64(p.total) / mk
 	}
 	if r.fm != nil {
 		res.Attempts = make(map[string]int, p.total)
-		for i, t := range p.tasks {
+		for i, id := range p.ids {
 			if r.states[i].started {
-				res.Attempts[t.ID] = r.states[i].attempt
+				res.Attempts[id] = r.states[i].attempt
 			}
 		}
 		res.Retries = r.retries
@@ -651,7 +484,7 @@ func (r *trialRun) record(task, phase string, start, end float64) bool {
 
 // submit queues the task for node allocation.
 func (r *trialRun) submit(i int) {
-	if err := r.pool.Acquire(r.plan.tasks[i].Nodes, r.startcb[i]); err != nil {
+	if err := r.pool.Acquire(r.plan.taskNodes[i], r.startcb[i]); err != nil {
 		r.fail(err)
 	}
 }
@@ -741,7 +574,7 @@ func (r *trialRun) dispatch(i int, ph Phase, k int) {
 	case PhaseNetwork:
 		r.network(i, ph, k)
 	default:
-		d, err := r.plan.nodePhaseSeconds(r.plan.tasks[i], ph)
+		d, err := r.plan.nodePhaseSeconds(i, ph)
 		if err != nil {
 			r.fail(err)
 			return
@@ -778,7 +611,7 @@ func (r *trialRun) phaseDone(i, j, k int) {
 	st := &r.states[i]
 	ph := st.prog[j]
 	begin, end := r.begins[k], r.eng.Now()
-	if !r.record(r.plan.tasks[i].ID, ph.label(), begin, end) {
+	if !r.record(r.plan.ids[i], ph.label(), begin, end) {
 		return
 	}
 	if st.doomed {
@@ -812,17 +645,17 @@ func (r *trialRun) maybeComplete(i int) {
 // payload-dependent restage cost and the policy backoff, then re-enter the
 // allocation queue — or give up once attempts are exhausted.
 func (r *trialRun) failAttempt(i int, st *taskState) {
-	task := r.plan.tasks[i]
+	id := r.plan.ids[i]
 	r.retries++
 	if r.fm.Retry.Checkpoint {
 		st.remaining *= 1 - st.frac
 	}
-	if err := r.pool.Release(task.Nodes); err != nil {
+	if err := r.pool.Release(r.plan.taskNodes[i]); err != nil {
 		r.fail(err)
 		return
 	}
 	if st.attempt >= r.fm.Retry.MaxAttempts {
-		r.fail(&exhaustedError{task: task.ID, attempts: st.attempt})
+		r.fail(&exhaustedError{task: id, attempts: st.attempt})
 		return
 	}
 	now := r.eng.Now()
@@ -838,13 +671,13 @@ func (r *trialRun) failAttempt(i int, st *taskState) {
 	}
 	backoff := r.fm.Retry.Delay(st.attempt, u)
 	if restage > 0 {
-		if !r.record(task.ID, "restage", now, now+restage) {
+		if !r.record(id, "restage", now, now+restage) {
 			return
 		}
 		r.retrySeconds["restage"] += restage
 	}
 	if backoff > 0 {
-		if !r.record(task.ID, "backoff", now+restage, now+restage+backoff) {
+		if !r.record(id, "backoff", now+restage, now+restage+backoff) {
 			return
 		}
 		r.retrySeconds["backoff"] += backoff
@@ -898,8 +731,7 @@ func (r *trialRun) transfer(link *resources.Link, ph Phase, k int) {
 // transfer have finished — concurrent wide phases contend for the fabric
 // even when each node's NIC has headroom.
 func (r *trialRun) network(i int, ph Phase, k int) {
-	task := r.plan.tasks[i]
-	d, err := r.plan.nodePhaseSeconds(task, ph)
+	d, err := r.plan.nodePhaseSeconds(i, ph)
 	if err != nil {
 		r.fail(err)
 		return
@@ -913,7 +745,7 @@ func (r *trialRun) network(i int, ph Phase, k int) {
 	// ph.Bytes is per node; the task injects Nodes x Bytes, of which
 	// BisectionShare crosses the cut, inflated by the phase efficiency like
 	// every other transfer.
-	vol := float64(ph.Bytes) / ph.eff() * float64(task.Nodes) * machine.BisectionShare
+	vol := float64(ph.Bytes) / ph.eff() * float64(r.plan.taskNodes[i]) * machine.BisectionShare
 	r.joins[k] = 2
 	if _, err := r.eng.Schedule(d, r.joincb[k]); err != nil {
 		r.fail(err)
@@ -934,7 +766,7 @@ func (r *trialRun) joinDone(k int) {
 
 // nodePhaseSeconds computes a node-local phase duration from the machine
 // peaks and the phase efficiency.
-func (p *Plan) nodePhaseSeconds(task *workflow.Task, ph Phase) (float64, error) {
+func (p *Plan) nodePhaseSeconds(i int, ph Phase) (float64, error) {
 	var peakTime float64
 	switch ph.Kind {
 	case PhaseNetwork:
@@ -948,18 +780,18 @@ func (p *Plan) nodePhaseSeconds(task *workflow.Task, ph Phase) (float64, error) 
 	case PhaseFixed:
 		return ph.Seconds, nil
 	default:
-		return 0, fmt.Errorf("sim: task %q: unexpected node phase kind %v", task.ID, ph.Kind)
+		return 0, fmt.Errorf("sim: task %q: unexpected node phase kind %v", p.ids[i], ph.Kind)
 	}
 	if math.IsInf(peakTime, 1) {
 		return 0, fmt.Errorf("sim: task %q phase %q uses a resource with zero peak on partition %q",
-			task.ID, ph.label(), p.part.Name)
+			p.ids[i], ph.label(), p.part.Name)
 	}
 	return peakTime / ph.eff(), nil
 }
 
 // complete releases nodes, records the window, and unblocks successors.
 func (r *trialRun) complete(i int) {
-	task := r.plan.tasks[i]
+	id := r.plan.ids[i]
 	st := &r.states[i]
 	end := r.eng.Now()
 	r.results[i] = TaskResult{Start: st.firstStart, End: end}
@@ -967,11 +799,11 @@ func (r *trialRun) complete(i int) {
 	// A task with an empty program still leaves a marker span so makespan
 	// and Gantt output include it.
 	if len(r.plan.programs[i]) == 0 {
-		if !r.record(task.ID, "noop", st.firstStart, end) {
+		if !r.record(id, "noop", st.firstStart, end) {
 			return
 		}
 	}
-	if err := r.pool.Release(task.Nodes); err != nil {
+	if err := r.pool.Release(r.plan.taskNodes[i]); err != nil {
 		r.fail(err)
 		return
 	}
@@ -979,10 +811,10 @@ func (r *trialRun) complete(i int) {
 		// The workflow is done; stop injecting outages so the engine drains.
 		r.faults.stop()
 	}
-	for _, succ := range r.plan.succs[i] {
+	for _, succ := range r.plan.succ[r.plan.succOff[i]:r.plan.succOff[i+1]] {
 		r.deps[succ]--
 		if r.deps[succ] == 0 {
-			r.submit(succ)
+			r.submit(int(succ))
 		}
 	}
 }

@@ -134,21 +134,9 @@ func (p Phase) validate() error {
 // Program is a task's sequential phase list.
 type Program []Phase
 
-// DefaultProgram derives a program from a task's characterized work vector:
-// external staging, file-system load, PCIe transfer, memory traffic,
-// network exchange, then compute. Unused components produce no phases.
-func DefaultProgram(t *workflow.Task) Program {
-	n := defaultPhases(t)
-	if n == 0 {
-		return nil
-	}
-	return appendDefaultProgram(make(Program, 0, n), t)
-}
-
-// defaultPhases counts the phases DefaultProgram derives for t, so Compile
-// can carve every default program out of one exactly sized slab.
-func defaultPhases(t *workflow.Task) int {
-	w := &t.Work
+// defaultPhases counts the phases of a work vector's default program, so
+// Bind can carve every default program out of one exactly sized slab.
+func defaultPhases(w *workflow.Work) int {
 	n := 0
 	for _, v := range [...]float64{float64(w.ExternalBytes), float64(w.FSBytes), float64(w.PCIeBytes),
 		float64(w.MemBytes), float64(w.NetworkBytes), float64(w.Flops)} {
@@ -159,25 +147,28 @@ func defaultPhases(t *workflow.Task) int {
 	return n
 }
 
-// appendDefaultProgram appends t's default phases to p.
-func appendDefaultProgram(p Program, t *workflow.Task) Program {
-	if t.Work.ExternalBytes > 0 {
-		p = append(p, Phase{Kind: PhaseExternal, Bytes: t.Work.ExternalBytes})
+// appendDefaultProgram appends the default program of a task's
+// characterized work vector to p: external staging, file-system load, PCIe
+// transfer, memory traffic, network exchange, then compute. Unused
+// components produce no phases.
+func appendDefaultProgram(p Program, w *workflow.Work) Program {
+	if w.ExternalBytes > 0 {
+		p = append(p, Phase{Kind: PhaseExternal, Bytes: w.ExternalBytes})
 	}
-	if t.Work.FSBytes > 0 {
-		p = append(p, Phase{Kind: PhaseFS, Bytes: t.Work.FSBytes})
+	if w.FSBytes > 0 {
+		p = append(p, Phase{Kind: PhaseFS, Bytes: w.FSBytes})
 	}
-	if t.Work.PCIeBytes > 0 {
-		p = append(p, Phase{Kind: PhasePCIe, Bytes: t.Work.PCIeBytes})
+	if w.PCIeBytes > 0 {
+		p = append(p, Phase{Kind: PhasePCIe, Bytes: w.PCIeBytes})
 	}
-	if t.Work.MemBytes > 0 {
-		p = append(p, Phase{Kind: PhaseMemory, Bytes: t.Work.MemBytes})
+	if w.MemBytes > 0 {
+		p = append(p, Phase{Kind: PhaseMemory, Bytes: w.MemBytes})
 	}
-	if t.Work.NetworkBytes > 0 {
-		p = append(p, Phase{Kind: PhaseNetwork, Bytes: t.Work.NetworkBytes})
+	if w.NetworkBytes > 0 {
+		p = append(p, Phase{Kind: PhaseNetwork, Bytes: w.NetworkBytes})
 	}
-	if t.Work.Flops > 0 {
-		p = append(p, Phase{Kind: PhaseCompute, Flops: t.Work.Flops})
+	if w.Flops > 0 {
+		p = append(p, Phase{Kind: PhaseCompute, Flops: w.Flops})
 	}
 	return p
 }
@@ -268,7 +259,7 @@ func dominantRetryLabel(m map[string]float64) string {
 func (r *Result) Breakdown() map[string]float64 { return r.Recorder.ByPhase() }
 
 // Run executes the workflow and returns the result. Tasks without an entry
-// in programs run their DefaultProgram. Programs for unknown task ids are an
+// in programs run the default program of their work vector. Programs for unknown task ids are an
 // error. Run is the one-shot path: it compiles a Plan and executes a single
 // default trial. Callers running many trials of the same workflow (Monte
 // Carlo ensembles, what-if sweeps) should Compile once and call Plan.Run per

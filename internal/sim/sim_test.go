@@ -198,7 +198,7 @@ func TestDefaultProgramFromWork(t *testing.T) {
 		FSBytes:       4 * units.GB,
 		ExternalBytes: 5 * units.GB,
 	}}
-	prog := DefaultProgram(task)
+	prog := appendDefaultProgram(nil, &task.Work)
 	if len(prog) != 6 {
 		t.Fatalf("default program has %d phases, want 6", len(prog))
 	}
@@ -208,7 +208,7 @@ func TestDefaultProgramFromWork(t *testing.T) {
 			t.Errorf("phase %d = %v, want %v", i, prog[i].Kind, k)
 		}
 	}
-	empty := DefaultProgram(&workflow.Task{ID: "e", Nodes: 1})
+	empty := appendDefaultProgram(nil, &workflow.Work{})
 	if len(empty) != 0 {
 		t.Errorf("empty work should give empty program, got %d phases", len(empty))
 	}

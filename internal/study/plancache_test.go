@@ -88,9 +88,10 @@ func TestPlanCacheCorpusSeedVary(t *testing.T) {
 	}
 	st := plans.Stats()
 	// 20 scenarios cycle 5 families; CV==0 normalizes the scenario seed, so
-	// the first scenario of each family misses and the rest hit.
-	if st.Misses != 5 || st.Hits != 15 {
-		t.Fatalf("after seed-1 run: %+v; want 5 misses, 15 hits", st)
+	// the first scenario of each family misses and the rest hit. Each first
+	// miss also misses the family's corpus shape once.
+	if st.Misses != 5+5 || st.Hits != 15 || st.Entries != 5+5 {
+		t.Fatalf("after seed-1 run: %+v; want 5 scenario and 5 shape misses and entries, 15 hits", st)
 	}
 
 	cached, err := RunCached(ctx, mk(999), plans)

@@ -616,11 +616,15 @@ type corpusScenario struct {
 // any worker count and batch size; a non-nil emit receives throttled
 // partial makespan summaries as the scenario frontier advances.
 //
-// With a plan cache wired, each scenario's generate → build → compile →
-// simulate pass is keyed by (machine, normalized template+family+seed) and
-// reused across requests — and, for CV==0 templates, across seeds too (see
-// plancache.ScenarioKey). The cached artifact carries exactly the fields
-// the tables read, so hit and miss scenarios aggregate identically.
+// A scenario runs on the corpus lane (lane.go): its family's compiled shape
+// with the scenario's work drawn onto it, bit-identical to generate →
+// build → compile → simulate, which runs instead whenever a lane step
+// fails. With a plan cache wired, each scenario's outcome is keyed by
+// (machine, normalized template+family+seed) and reused across requests —
+// and, for CV==0 templates, across seeds too (see plancache.ScenarioKey) —
+// and small shapes are shared under plancache.ShapeKey. The cached
+// scenario carries exactly the fields the tables read, so hit and miss
+// scenarios aggregate identically.
 func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	if spec.Count <= 0 {
 		return nil, fmt.Errorf("corpus spec needs positive count, got %d", spec.Count)
@@ -655,17 +659,21 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 			famKeys[f] = plancache.ScenarioKey(&s, m.Name)
 		}
 	}
+	var lanes corpusLanes
 	scenarios, err := sweep.MapChunksProgress(ctx, spec.Count, spec.Workers, spec.Batch,
 		func(ctx context.Context, lo, hi int, out []corpusScenario) error {
+			scratch := lanePool.Get().(*laneScratch)
+			defer scratch.put()
 			for j := range out {
 				i := lo + j
+				f := i % len(families)
 				s := tmpl
-				s.Family = families[i%len(families)]
+				s.Family = families[f]
 				s.Seed = sweep.TrialSeed(spec.Seed, i)
 				var key plancache.Key
 				if plans != nil {
 					if famKeys != nil {
-						key = famKeys[i%len(families)]
+						key = famKeys[f]
 					} else {
 						key = plancache.ScenarioKey(&s, m.Name)
 					}
@@ -681,42 +689,17 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 						continue
 					}
 				}
-				wf, err := wfgen.Generate(&s)
+				c, _, err := lanes.family(f, len(families)).scenario(&s, m, plans, i, scratch)
 				if err != nil {
-					return fmt.Errorf("scenario %d: %w", i, err)
+					return err
 				}
-				model, err := core.Build(m, wf, core.BuildOptions{})
-				if err != nil {
-					return fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
-				}
-				bound, limit := model.BoundAtWall()
-				// Compile + RunScalar instead of sim.Run: the corpus only needs
-				// the makespan, and contention-free scenarios resolve through the
-				// plan's analytic longest-path pass without an event loop.
-				plan, err := sim.Compile(wf, nil, sim.Config{Machine: m})
-				if err != nil {
-					return fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
-				}
-				br, err := plan.RunScalar(sim.Trial{})
-				if err != nil {
-					return fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
-				}
-				out[j] = corpusScenario{
-					family: s.Family,
-					tasks:  wf.TotalTasks(),
-					// Bin the histogram on the limiting resource, not the full
-					// ceiling name: names embed per-scenario volumes, so each
-					// would be its own bin.
-					boundTPS: bound,
-					limiting: limit.Resource.String(),
-					makespan: br.Makespan,
-				}
+				out[j] = c
 				if plans != nil {
 					plans.Put(key, &plancache.Scenario{
-						Tasks:    wf.TotalTasks(),
-						BoundTPS: bound,
-						Limiting: limit.Resource.String(),
-						Makespan: br.Makespan,
+						Tasks:    c.tasks,
+						BoundTPS: c.boundTPS,
+						Limiting: c.limiting,
+						Makespan: c.makespan,
 					})
 				}
 			}
@@ -782,6 +765,42 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		}
 	}
 	return []*report.Table{famTbl, dist, hist}, nil
+}
+
+// referenceScenario runs scenario i through Generate → core.Build →
+// sim.Compile → RunScalar: the path the corpus lane must match bit for bit,
+// and the one whose errors a corpus request reports.
+func referenceScenario(s *wfgen.Spec, m *machine.Machine, i int) (corpusScenario, error) {
+	wf, err := wfgen.Generate(s)
+	if err != nil {
+		return corpusScenario{}, fmt.Errorf("scenario %d: %w", i, err)
+	}
+	model, err := core.Build(m, wf, core.BuildOptions{})
+	if err != nil {
+		return corpusScenario{}, fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
+	}
+	bound, limit := model.BoundAtWall()
+	// Compile + RunScalar instead of sim.Run: the corpus only needs the
+	// makespan, and contention-free scenarios resolve through the plan's
+	// analytic longest-path pass without an event loop.
+	plan, err := sim.Compile(wf, nil, sim.Config{Machine: m})
+	if err != nil {
+		return corpusScenario{}, fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
+	}
+	br, err := plan.RunScalar(sim.Trial{})
+	if err != nil {
+		return corpusScenario{}, fmt.Errorf("scenario %d (%s): %w", i, s.Family, err)
+	}
+	return corpusScenario{
+		family: s.Family,
+		tasks:  wf.TotalTasks(),
+		// Bin the histogram on the limiting resource, not the full ceiling
+		// name: names embed per-scenario volumes, so each would be its own
+		// bin.
+		boundTPS: bound,
+		limiting: limit.Resource.String(),
+		makespan: br.Makespan,
+	}, nil
 }
 
 // work converts the unit strings into a workflow work vector.

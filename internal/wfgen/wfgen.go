@@ -20,7 +20,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 
 	"wroofline/internal/units"
 	"wroofline/internal/workflow"
@@ -214,325 +216,362 @@ func (s *Spec) shape() (Shape, error) {
 	}
 }
 
-// Generate builds the workflow the spec describes.
+// Generate builds the workflow the spec describes: it compiles the spec's
+// topology, draws the scenario's work on it and materializes the named
+// tasks and edges in the builder's construction order.
 func Generate(s *Spec) (*workflow.Workflow, error) {
 	n := s.normalized()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := newBuilder(&n)
+	v, err := n.volumes()
 	if err != nil {
 		return nil, err
 	}
-	switch n.Family {
-	case "chain":
-		err = b.chain()
-	case "fanout":
-		err = b.fanout()
-	case "diamond":
-		err = b.diamond()
-	case "montage":
-		err = b.montage()
-	case "epigenomics":
-		err = b.epigenomics()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return b.wf, nil
-}
-
-// builder accumulates one workflow. Task and edge creation draw from the
-// stream in source order, which is what makes generation deterministic.
-type builder struct {
-	wf      *workflow.Workflow
-	rng     *rng
-	spec    *Spec
-	flops   float64
-	mem     float64
-	net     float64
-	fs      float64
-	payload float64
-}
-
-func newBuilder(n *Spec) (*builder, error) {
-	flops, err := units.ParseFlops(n.Flops)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := units.ParseBytes(n.Mem)
-	if err != nil {
-		return nil, err
-	}
-	net, err := units.ParseBytes(n.Net)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := units.ParseBytes(n.FS)
-	if err != nil {
-		return nil, err
-	}
-	var payload units.Bytes
-	if n.Payload != "" {
-		if payload, err = units.ParseBytes(n.Payload); err != nil {
+	t := compileTopology(&n)
+	work := t.Draw(&v, n.Seed, nil)
+	wf := workflow.New(fmt.Sprintf("gen-%s-w%d-d%d-s%d", n.Family, n.Width, n.Depth, n.Seed), n.Partition)
+	tasks := make([]workflow.Task, len(t.IDs))
+	for _, o := range t.ops {
+		if o.from < 0 {
+			tasks[o.to] = workflow.Task{ID: t.IDs[o.to], Nodes: n.NodesPerTask, Work: work[o.to]}
+			if err := wf.AddTask(&tasks[o.to]); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err := wf.AddDep(t.IDs[o.from], t.IDs[o.to]); err != nil {
 			return nil, err
 		}
 	}
-	name := fmt.Sprintf("gen-%s-w%d-d%d-s%d", n.Family, n.Width, n.Depth, n.Seed)
-	return &builder{
-		wf:      workflow.New(name, n.Partition),
-		rng:     newRNG(n.Seed),
-		spec:    n,
-		flops:   float64(flops),
-		mem:     float64(mem),
-		net:     float64(net),
-		fs:      float64(fs),
-		payload: float64(payload),
-	}, nil
+	return wf, nil
+}
+
+// Volumes are a spec's parsed per-task mean work quantities and its
+// variation: everything a draw reads besides the topology and the seed.
+type Volumes struct {
+	// Flops, Mem and Net are per-node means, FS the per-task mean.
+	Flops, Mem, Net, FS float64
+	// Payload is the per-edge mean; a value <= 0 draws no payloads.
+	Payload float64
+	// CV is the lognormal sigma; a value <= 0 draws constant work.
+	CV float64
+}
+
+// Volumes parses the normalized spec's work quantities.
+func (s *Spec) Volumes() (Volumes, error) {
+	n := s.normalized()
+	return n.volumes()
+}
+
+// volumes parses an already-normalized spec's work quantities.
+func (n *Spec) volumes() (Volumes, error) {
+	flops, err := units.ParseFlops(n.Flops)
+	if err != nil {
+		return Volumes{}, err
+	}
+	v := Volumes{Flops: float64(flops), CV: n.CV}
+	for _, q := range []struct {
+		dst *float64
+		val string
+	}{{&v.Mem, n.Mem}, {&v.Net, n.Net}, {&v.FS, n.FS}, {&v.Payload, n.Payload}} {
+		if q.val == "" {
+			continue
+		}
+		b, err := units.ParseBytes(q.val)
+		if err != nil {
+			return Volumes{}, err
+		}
+		*q.dst = float64(b)
+	}
+	return v, nil
 }
 
 // factor draws one mean-preserving lognormal multiplier: exp(sigma*z -
 // sigma^2/2) has expectation 1 for any sigma. CV 0 draws nothing and keeps
 // work constant.
-func (b *builder) factor() float64 {
-	sigma := b.spec.CV
+func (v *Volumes) factor(r *rng) float64 {
+	sigma := v.CV
 	if sigma <= 0 {
 		return 1
 	}
-	return math.Exp(sigma*b.rng.normal() - 0.5*sigma*sigma)
+	return math.Exp(sigma*r.normal() - 0.5*sigma*sigma)
 }
 
-// task creates one task; all work components share one drawn factor, so a
-// "big" task is big across the board.
-func (b *builder) task(id string) error {
-	f := b.factor()
-	return b.wf.AddTask(&workflow.Task{
-		ID:    id,
-		Nodes: b.spec.NodesPerTask,
-		Work: workflow.Work{
-			Flops:        units.Flops(b.flops * f),
-			MemBytes:     units.Bytes(b.mem * f),
-			NetworkBytes: units.Bytes(b.net * f),
-			FSBytes:      units.Bytes(b.fs * f),
-		},
-	})
+// Topology is the compiled, work-free structure of one (Family, Width,
+// Depth): the tasks and edges the family's builder creates, in index form.
+// Seed, CV, the work volumes, the partition and the node count never change
+// it, so one Topology serves every scenario drawn from a template. It is
+// immutable and safe for concurrent use.
+//
+// Tasks are numbered by ascending ID, the order a simulator plan runs them
+// in. ops keeps the builder's construction sequence in those numbers, so a
+// draw consumes the random stream, and Generate adds tasks and edges, in
+// exactly the builder's order.
+type Topology struct {
+	// Shape is the family's closed-form structure.
+	Shape Shape
+	// IDs are the task IDs, ascending.
+	IDs []string
+	// SuccOff and Succ are the successor lists in compressed rows: task i's
+	// distinct successors are Succ[SuccOff[i]:SuccOff[i+1]], ascending.
+	SuccOff, Succ []int32
+
+	ops []op
 }
 
-// dep adds the edge and charges the drawn payload to both endpoints'
-// file-system volume: the producer writes the intermediate to the shared
-// file system and the consumer reads it back.
-func (b *builder) dep(from, to string) error {
-	if err := b.wf.AddDep(from, to); err != nil {
-		return err
+// op is one construction step: from < 0 creates task to, otherwise it adds
+// the edge from -> to.
+type op struct{ from, to int32 }
+
+// CompileTopology validates the spec and compiles the topology of its
+// family, width and depth.
+func CompileTopology(s *Spec) (*Topology, error) {
+	n := s.normalized()
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	if b.payload <= 0 {
-		return nil
-	}
-	bytes := units.Bytes(b.payload * b.factor())
-	src, err := b.wf.Task(from)
-	if err != nil {
-		return err
-	}
-	dst, err := b.wf.Task(to)
-	if err != nil {
-		return err
-	}
-	src.Work.FSBytes += bytes
-	dst.Work.FSBytes += bytes
-	return nil
+	return compileTopology(&n), nil
 }
+
+// compileTopology runs the family's builder on a validated, normalized
+// spec and renumbers its tasks by ID.
+func compileTopology(n *Spec) *Topology {
+	shape, _ := n.shape()
+	// Every family adds fewer than two edges per task.
+	b := &builder{spec: n, ids: make([]string, 0, shape.Tasks), ops: make([]op, 0, 3*shape.Tasks)}
+	switch n.Family {
+	case "chain":
+		b.chain()
+	case "fanout":
+		b.fanout()
+	case "diamond":
+		b.diamond()
+	case "montage":
+		b.montage()
+	case "epigenomics":
+		b.epigenomics()
+	}
+	return b.compile(shape)
+}
+
+// compile renumbers the recorded tasks by ascending ID and derives the
+// successor rows.
+func (b *builder) compile(shape Shape) *Topology {
+	n := len(b.ids)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(b.ids[x], b.ids[y]) })
+	rank := make([]int32, n)
+	t := &Topology{Shape: shape, IDs: make([]string, n), SuccOff: make([]int32, n+1), ops: slices.Clip(b.ops)}
+	for k, i := range order {
+		rank[i] = int32(k)
+		t.IDs[k] = b.ids[i]
+	}
+	edges := 0
+	for i := range t.ops {
+		o := &t.ops[i]
+		o.to = rank[o.to]
+		if o.from >= 0 {
+			o.from = rank[o.from]
+			t.SuccOff[o.from+1]++
+			edges++
+		}
+	}
+	for i := 0; i < n; i++ {
+		t.SuccOff[i+1] += t.SuccOff[i]
+	}
+	t.Succ = make([]int32, edges)
+	cur := order
+	copy(cur, t.SuccOff[:n])
+	for _, o := range t.ops {
+		if o.from >= 0 {
+			t.Succ[cur[o.from]] = o.to
+			cur[o.from]++
+		}
+	}
+	// Sort each row and drop repeated edges in place.
+	w := int32(0)
+	for i := 0; i < n; i++ {
+		row := t.Succ[t.SuccOff[i]:t.SuccOff[i+1]]
+		slices.Sort(row)
+		t.SuccOff[i] = w
+		for k, s := range row {
+			if k == 0 || s != row[k-1] {
+				t.Succ[w] = s
+				w++
+			}
+		}
+	}
+	t.SuccOff[n] = w
+	t.Succ = t.Succ[:w:w]
+	return t
+}
+
+// Draw draws one scenario's per-task work into dst, grown to the task count
+// and returned, indexed like IDs. It consumes the seed's splitmix64 stream
+// in the builder's construction order — one lognormal factor per task as it
+// is created and, with payloads on, one per edge as it is added, charged to
+// both endpoints' file-system volume (the producer writes the intermediate
+// to the shared file system and the consumer reads it back) — so every
+// float matches what Generate attaches to each task, bit for bit.
+func (t *Topology) Draw(v *Volumes, seed uint64, dst []workflow.Work) []workflow.Work {
+	if cap(dst) < len(t.IDs) {
+		dst = make([]workflow.Work, len(t.IDs))
+	}
+	dst = dst[:len(t.IDs)]
+	r := rng{state: seed}
+	for _, o := range t.ops {
+		if o.from < 0 {
+			// All work components share one drawn factor, so a "big" task is
+			// big across the board.
+			f := v.factor(&r)
+			dst[o.to] = workflow.Work{
+				Flops:        units.Flops(v.Flops * f),
+				MemBytes:     units.Bytes(v.Mem * f),
+				NetworkBytes: units.Bytes(v.Net * f),
+				FSBytes:      units.Bytes(v.FS * f),
+			}
+			continue
+		}
+		if v.Payload <= 0 {
+			continue
+		}
+		bytes := units.Bytes(v.Payload * v.factor(&r))
+		dst[o.from].FSBytes += bytes
+		dst[o.to].FSBytes += bytes
+	}
+	return dst
+}
+
+// builder records one family's construction sequence: tasks by insertion
+// index, in creation order, and edges between them.
+type builder struct {
+	spec *Spec
+	ids  []string
+	ops  []op
+}
+
+// task creates the next task and returns its insertion index.
+func (b *builder) task(id string) int32 {
+	i := int32(len(b.ids))
+	b.ids = append(b.ids, id)
+	b.ops = append(b.ops, op{from: -1, to: i})
+	return i
+}
+
+// dep adds the edge from -> to.
+func (b *builder) dep(from, to int32) { b.ops = append(b.ops, op{from: from, to: to}) }
 
 // chain: Depth tasks in a single line.
-func (b *builder) chain() error {
-	d := b.spec.Depth
-	ids := make([]string, d)
-	for i := range ids {
-		ids[i] = taskID("t", i)
-		if err := b.task(ids[i]); err != nil {
-			return err
-		}
+func (b *builder) chain() {
+	d := int32(b.spec.Depth)
+	for i := int32(0); i < d; i++ {
+		b.task(taskID("t", int(i)))
 	}
-	for i := 1; i < d; i++ {
-		if err := b.dep(ids[i-1], ids[i]); err != nil {
-			return err
-		}
+	for i := int32(1); i < d; i++ {
+		b.dep(i-1, i)
 	}
-	return nil
 }
 
 // fanout: source -> Width workers -> sink.
-func (b *builder) fanout() error {
-	if err := b.task("source"); err != nil {
-		return err
+func (b *builder) fanout() {
+	w := int32(b.spec.Width)
+	source := b.task("source")
+	for i := int32(0); i < w; i++ {
+		b.task(taskID("work", int(i)))
 	}
-	work := make([]string, b.spec.Width)
-	for i := range work {
-		work[i] = taskID("work", i)
-		if err := b.task(work[i]); err != nil {
-			return err
-		}
+	sink := b.task("sink")
+	for i := int32(0); i < w; i++ {
+		b.dep(source, source+1+i)
+		b.dep(source+1+i, sink)
 	}
-	if err := b.task("sink"); err != nil {
-		return err
-	}
-	for _, id := range work {
-		if err := b.dep("source", id); err != nil {
-			return err
-		}
-		if err := b.dep(id, "sink"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // diamond: Depth chained diamonds, each split -> Width branches -> merge.
-func (b *builder) diamond() error {
-	w, d := b.spec.Width, b.spec.Depth
-	branches := make([]string, w)
-	prevMerge := ""
-	for k := 0; k < d; k++ {
-		split := taskID("split", k)
-		merge := taskID("merge", k)
-		if err := b.task(split); err != nil {
-			return err
+func (b *builder) diamond() {
+	w := int32(b.spec.Width)
+	prevMerge := int32(-1)
+	for k := 0; k < b.spec.Depth; k++ {
+		split := b.task(taskID("split", k))
+		for i := int32(0); i < w; i++ {
+			b.task(taskID2("branch", k, "_", int(i)))
 		}
-		for i := range branches {
-			branches[i] = taskID2("branch", k, "_", i)
-			if err := b.task(branches[i]); err != nil {
-				return err
-			}
-		}
-		if err := b.task(merge); err != nil {
-			return err
-		}
+		merge := b.task(taskID("merge", k))
 		if k > 0 {
-			if err := b.dep(prevMerge, split); err != nil {
-				return err
-			}
+			b.dep(prevMerge, split)
 		}
-		for _, id := range branches {
-			if err := b.dep(split, id); err != nil {
-				return err
-			}
-			if err := b.dep(id, merge); err != nil {
-				return err
-			}
+		for i := int32(0); i < w; i++ {
+			b.dep(split, split+1+i)
+			b.dep(split+1+i, merge)
 		}
 		prevMerge = merge
 	}
-	return nil
 }
 
 // montage mirrors the classic mosaic pipeline: W projections, W-1 pairwise
 // difference fits, one background model gathering them, W background
 // corrections (each also re-reading its projection), then the serial
 // imgtbl -> add -> shrink -> jpeg tail. 3W+4 tasks over 8 levels.
-func (b *builder) montage() error {
+func (b *builder) montage() {
 	w := b.spec.Width
-	// One slab holds the W projection, W-1 difference and W background IDs.
-	ids := make([]string, 3*w-1)
-	project, diff, bg := ids[:w], ids[w:2*w-1], ids[2*w-1:]
-	for i := range project {
-		project[i] = taskID("project", i)
-		if err := b.task(project[i]); err != nil {
-			return err
-		}
+	for i := 0; i < w; i++ {
+		b.task(taskID("project", i)) // project i is task i
 	}
-	for i := range diff {
-		diff[i] = taskID("diff", i)
-		if err := b.task(diff[i]); err != nil {
-			return err
-		}
+	for i := 0; i < w-1; i++ {
+		b.task(taskID("diff", i)) // diff i is task w+i
 	}
-	if err := b.task("bgmodel"); err != nil {
-		return err
+	bgmodel := b.task("bgmodel")
+	for i := 0; i < w; i++ {
+		b.task(taskID("background", i)) // background i is task bgmodel+1+i
 	}
-	for i := range bg {
-		bg[i] = taskID("background", i)
-		if err := b.task(bg[i]); err != nil {
-			return err
-		}
+	imgtbl := b.task("imgtbl")
+	add := b.task("add")
+	shrink := b.task("shrink")
+	jpeg := b.task("jpeg")
+	for i := int32(0); i < int32(w-1); i++ {
+		diff := int32(w) + i
+		b.dep(i, diff)
+		b.dep(i+1, diff)
+		b.dep(diff, bgmodel)
 	}
-	for _, id := range []string{"imgtbl", "add", "shrink", "jpeg"} {
-		if err := b.task(id); err != nil {
-			return err
-		}
+	for i := int32(0); i < int32(w); i++ {
+		bg := bgmodel + 1 + i
+		b.dep(bgmodel, bg)
+		b.dep(i, bg)
+		b.dep(bg, imgtbl)
 	}
-	for i, id := range diff {
-		if err := b.dep(project[i], id); err != nil {
-			return err
-		}
-		if err := b.dep(project[i+1], id); err != nil {
-			return err
-		}
-		if err := b.dep(id, "bgmodel"); err != nil {
-			return err
-		}
-	}
-	for i, id := range bg {
-		if err := b.dep("bgmodel", id); err != nil {
-			return err
-		}
-		if err := b.dep(project[i], id); err != nil {
-			return err
-		}
-		if err := b.dep(id, "imgtbl"); err != nil {
-			return err
-		}
-	}
-	for _, e := range [][2]string{{"imgtbl", "add"}, {"add", "shrink"}, {"shrink", "jpeg"}} {
-		if err := b.dep(e[0], e[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	b.dep(imgtbl, add)
+	b.dep(add, shrink)
+	b.dep(shrink, jpeg)
 }
 
 // epigenomics mirrors the genome-pipeline shape: one split feeding Width
 // independent Depth-stage lanes, then the serial merge -> index -> pileup
 // tail. W*D+4 tasks over D+4 levels.
-func (b *builder) epigenomics() error {
+func (b *builder) epigenomics() {
 	w, d := b.spec.Width, b.spec.Depth
-	if err := b.task("split"); err != nil {
-		return err
-	}
-	// Lane l's stage s is ids[l*d+s].
-	ids := make([]string, w*d)
+	split := b.task("split")
 	for lane := 0; lane < w; lane++ {
 		for stage := 0; stage < d; stage++ {
-			id := taskID2("lane", lane, "_s", stage)
-			ids[lane*d+stage] = id
-			if err := b.task(id); err != nil {
-				return err
-			}
+			b.task(taskID2("lane", lane, "_s", stage)) // task split+1+lane*d+stage
 		}
 	}
-	for _, id := range []string{"merge", "index", "pileup"} {
-		if err := b.task(id); err != nil {
-			return err
+	merge := b.task("merge")
+	index := b.task("index")
+	pileup := b.task("pileup")
+	for lane := int32(0); lane < int32(w); lane++ {
+		first := split + 1 + lane*int32(d)
+		b.dep(split, first)
+		for s := first + 1; s < first+int32(d); s++ {
+			b.dep(s-1, s)
 		}
+		b.dep(first+int32(d)-1, merge)
 	}
-	for lane := 0; lane < w; lane++ {
-		stages := ids[lane*d : (lane+1)*d]
-		if err := b.dep("split", stages[0]); err != nil {
-			return err
-		}
-		for stage := 1; stage < d; stage++ {
-			if err := b.dep(stages[stage-1], stages[stage]); err != nil {
-				return err
-			}
-		}
-		if err := b.dep(stages[d-1], "merge"); err != nil {
-			return err
-		}
-	}
-	for _, e := range [][2]string{{"merge", "index"}, {"index", "pileup"}} {
-		if err := b.dep(e[0], e[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	b.dep(merge, index)
+	b.dep(index, pileup)
 }
 
 // taskID renders prefix followed by i zero-padded to four digits: exactly

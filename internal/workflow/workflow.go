@@ -47,16 +47,29 @@ func (w Work) Add(o Work) Work {
 	}
 }
 
-// Scale returns the work vector multiplied by k.
-func (w Work) Scale(k float64) Work {
-	return Work{
-		Flops:         units.Flops(float64(w.Flops) * k),
-		MemBytes:      units.Bytes(float64(w.MemBytes) * k),
-		PCIeBytes:     units.Bytes(float64(w.PCIeBytes) * k),
-		NetworkBytes:  units.Bytes(float64(w.NetworkBytes) * k),
-		FSBytes:       units.Bytes(float64(w.FSBytes) * k),
-		ExternalBytes: units.Bytes(float64(w.ExternalBytes) * k),
+// Max returns the component-wise maximum of w and o: each component of o
+// replaces w's only when it is greater, so the result does not depend on
+// the order a running maximum visits its vectors in.
+func (w Work) Max(o Work) Work {
+	if o.Flops > w.Flops {
+		w.Flops = o.Flops
 	}
+	if o.MemBytes > w.MemBytes {
+		w.MemBytes = o.MemBytes
+	}
+	if o.PCIeBytes > w.PCIeBytes {
+		w.PCIeBytes = o.PCIeBytes
+	}
+	if o.NetworkBytes > w.NetworkBytes {
+		w.NetworkBytes = o.NetworkBytes
+	}
+	if o.FSBytes > w.FSBytes {
+		w.FSBytes = o.FSBytes
+	}
+	if o.ExternalBytes > w.ExternalBytes {
+		w.ExternalBytes = o.ExternalBytes
+	}
+	return w
 }
 
 // IsZero reports whether every component is zero.
@@ -211,35 +224,9 @@ func (w *Workflow) MaxTaskNodes() int {
 func (w *Workflow) MaxWorkPerTask() Work {
 	var m Work
 	for _, t := range w.tasks {
-		if t.Work.Flops > m.Flops {
-			m.Flops = t.Work.Flops
-		}
-		if t.Work.MemBytes > m.MemBytes {
-			m.MemBytes = t.Work.MemBytes
-		}
-		if t.Work.PCIeBytes > m.PCIeBytes {
-			m.PCIeBytes = t.Work.PCIeBytes
-		}
-		if t.Work.NetworkBytes > m.NetworkBytes {
-			m.NetworkBytes = t.Work.NetworkBytes
-		}
-		if t.Work.FSBytes > m.FSBytes {
-			m.FSBytes = t.Work.FSBytes
-		}
-		if t.Work.ExternalBytes > m.ExternalBytes {
-			m.ExternalBytes = t.Work.ExternalBytes
-		}
+		m = m.Max(t.Work)
 	}
 	return m
-}
-
-// TotalWork returns the component-wise sum of all task work vectors.
-func (w *Workflow) TotalWork() Work {
-	var s Work
-	for _, t := range w.tasks {
-		s = s.Add(t.Work)
-	}
-	return s
 }
 
 // CriticalPathMeasured returns the critical path and its cost using each

@@ -85,6 +85,23 @@ else
     fail=1
 fi
 
+# The corpus lane wall is the correctness proof for the shape-compiled
+# corpus lane: every lane scenario must equal Generate -> core.Build ->
+# sim.Compile -> RunScalar bit for bit (errors included), the generator must
+# reproduce its golden digests, a rebound plan must match a fresh compile
+# with its own trial memo, the shape key must cover every field the shape
+# reads, and no shape above the cached-shape bound may stay in the plan
+# cache. The allocation floors run again without -race, which drops pooled
+# objects and would void the counts.
+echo "== corpus lane wall =="
+if go test -race ./internal/study -run 'TestCorpusLane|TestCorpusShape|TestPlanCacheCorpus' -count=1 &&
+   go test -race ./internal/sim ./internal/wfgen -run 'TestShape|TestGenerateGolden' -count=1 &&
+   go test ./internal/study ./internal/sim -run 'TestCorpusLaneAllocs|TestCompileRunScalarAllocs' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The cluster equivalence gates are the correctness proof for wfgate: a
 # 3-replica cluster must be byte-identical to a single server, a 64-way
 # herd must cost exactly one evaluation, and a replica kill must reroute
@@ -181,7 +198,8 @@ if [ "${1:-}" = "-fuzz" ]; then
     echo "== fuzz ($fuzztime per target) =="
     for target in ./internal/wdl:FuzzParse ./internal/sbatch:FuzzParse \
                   ./internal/machine:FuzzParse ./internal/failure:FuzzParse \
-                  ./internal/wfgen:FuzzWfgenSpec ./internal/sim:FuzzBatchPlan; do
+                  ./internal/wfgen:FuzzWfgenSpec ./internal/sim:FuzzBatchPlan \
+                  ./internal/study:FuzzCorpusLane; do
         pkg="${target%%:*}"
         fuzz="${target##*:}"
         if ! go test "$pkg" -fuzz="$fuzz" -fuzztime="$fuzztime"; then
