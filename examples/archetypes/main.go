@@ -3,7 +3,8 @@
 // fork-join, map-reduce, scatter-gather) with identical per-task work, it
 // reports the structural width, the model bound at that width, the
 // simulated throughput, and the binding resource — showing how pure
-// structure moves a workflow around the roofline.
+// structure moves a workflow around the roofline. Each archetype is a
+// wfgen family: pipeline is chain, fork-join is fanout.
 //
 // Run with: go run ./examples/archetypes
 package main
@@ -12,34 +13,38 @@ import (
 	"fmt"
 	"log"
 
-	"wroofline/internal/archetype"
 	"wroofline/internal/core"
 	"wroofline/internal/machine"
 	"wroofline/internal/report"
 	"wroofline/internal/sim"
-	"wroofline/internal/units"
-	"wroofline/internal/workflow"
+	"wroofline/internal/wfgen"
 )
 
 func main() {
 	pm := machine.Perlmutter()
-	params := archetype.Params{
+	spec := wfgen.Spec{
 		Partition:    machine.PartGPU,
 		Width:        8,
 		Depth:        3,
 		NodesPerTask: 64,
-		Work: workflow.Work{
-			Flops:   388 * units.TFLOP, // 10 s per task at the node peak
-			FSBytes: 1 * units.TB,      // 0.18 s through the shared FS
-		},
+		Flops:        "388 TFLOP", // 10 s per task at the node peak
+		Mem:          "0",
+		Net:          "0",
+		FS:           "1 TB", // 0.18 s through the shared FS
 	}
 
 	tbl := report.NewTable("archetype survey (identical per-task work)",
 		"shape", "tasks", "width", "CP len", "bound TPS @ width", "sim TPS", "sim makespan (s)", "limited by")
-	for _, shape := range archetype.Catalog() {
-		p := params
-		p.Name = shape.Name
-		w, err := shape.Generate(p)
+	for _, shape := range []struct{ name, family string }{
+		{"bag-of-tasks", "bag"},
+		{"pipeline", "chain"},
+		{"fork-join", "fanout"},
+		{"map-reduce", "mapreduce"},
+		{"scatter-gather", "scatter"},
+	} {
+		s := spec
+		s.Family = shape.family
+		w, err := wfgen.Generate(&s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tbl.AddRowf(shape.Name, w.TotalTasks(), width, cpl,
+		if err := tbl.AddRowf(shape.name, w.TotalTasks(), width, cpl,
 			bound, res.Throughput, res.Makespan, limit.Resource.String()); err != nil {
 			log.Fatal(err)
 		}

@@ -300,3 +300,21 @@ func TestRecorderReadFrom(t *testing.T) {
 	var _ io.ReaderFrom = (*statusRecorder)(nil)
 	var _ http.Flusher = (*statusRecorder)(nil)
 }
+
+// --- survey cost is bounded per cell ------------------------------------
+
+// TestSweepSurveyHugeWidthIs400: a survey cell is closed-form and capped at
+// wfgen.MaxTasks, so a ~150-byte POST asking for a width of 2^40 is a
+// client error answered at once, not a multi-gigabyte build that ends in a
+// 5xx or a 504.
+func TestSweepSurveyHugeWidthIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"kind":"survey","machine":"perlmutter","widths":[1099511627776],"depths":[1],"work":{"flops":"5 TFLOP"}}`
+	status, data, _ := post(t, ts.URL+"/v1/sweep", body)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", status, data)
+	}
+	if !strings.Contains(string(data), "bag-of-tasks w=1099511627776 d=1") {
+		t.Errorf("body %s does not name the failing cell", data)
+	}
+}

@@ -18,6 +18,10 @@ import (
 // NUMA node and the bisection-limited fabric.
 var laneMachines = []string{"perlmutter", "perlmutter-numa", "ridgeline"}
 
+// laneFamilies are every wfgen family: the default corpus cycle and the
+// archetype families a template may name.
+var laneFamilies = append(wfgen.Families(), "bag", "mapreduce", "scatter")
+
 // laneCase is one generated corpus scenario for the lane wall.
 type laneCase struct {
 	Machine string
@@ -30,9 +34,8 @@ type laneCase struct {
 // nodes per task and occasional partitions and node counts the machine
 // rejects, so error paths are compared too.
 func (laneCase) Generate(r *rand.Rand, _ int) reflect.Value {
-	fams := wfgen.Families()
 	s := wfgen.Spec{
-		Family:       fams[r.Intn(len(fams))],
+		Family:       laneFamilies[r.Intn(len(laneFamilies))],
 		Seed:         r.Uint64(),
 		Width:        1 + r.Intn(9),
 		Depth:        1 + r.Intn(5),
@@ -149,10 +152,12 @@ func FuzzCorpusLane(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint16(6), uint8(3), uint8(1), uint8(1), uint64(7), true, uint8(0))
 	f.Add(uint8(2), uint8(2), uint16(12000), uint8(1), uint8(2), uint8(0), uint64(1), false, uint8(5))
 	f.Add(uint8(0), uint8(4), uint16(5), uint8(4), uint8(3), uint8(3), uint64(99), true, uint8(15))
+	f.Add(uint8(1), uint8(5), uint16(40), uint8(2), uint8(0), uint8(2), uint64(5), true, uint8(0))
+	f.Add(uint8(2), uint8(6), uint16(7), uint8(3), uint8(1), uint8(1), uint64(13), false, uint8(2))
+	f.Add(uint8(0), uint8(7), uint16(1), uint8(5), uint8(1), uint8(2), uint64(21), true, uint8(0))
 	f.Fuzz(func(t *testing.T, mach, fam uint8, width uint16, depth, nodes, cv uint8, seed uint64, payload bool, zeros uint8) {
-		fams := wfgen.Families()
 		s := wfgen.Spec{
-			Family:       fams[int(fam)%len(fams)],
+			Family:       laneFamilies[int(fam)%len(laneFamilies)],
 			Seed:         seed,
 			Width:        1 + int(width)%12000,
 			Depth:        1 + int(depth)%6,

@@ -1,6 +1,7 @@
 // Package study defines the JSON spec format for ensemble studies — Monte
-// Carlo contention trials, what-if scenario grids, and archetype shape
-// surveys — and runs them over the sweep worker pool. It is the shared
+// Carlo contention trials, what-if scenario grids, closed-form archetype
+// shape surveys, failure ensembles and generated-scenario corpora — and
+// runs the ensembles over the sweep worker pool. It is the shared
 // evaluation entry point behind cmd/wfsweep and the wfserved /v1/sweep
 // endpoint: one spec format, one runner, every consumer.
 //
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wroofline/internal/archetype"
 	"wroofline/internal/contention"
 	"wroofline/internal/core"
 	"wroofline/internal/failure"
@@ -83,7 +83,8 @@ type Spec struct {
 
 	// Count, Families, and Template configure a generated-scenario corpus
 	// (kind "corpus"): Count workflows are generated from the wfgen Template,
-	// cycling through Families (default: all of them), with scenario i seeded
+	// cycling through Families (default: wfgen.Families(), the five corpus
+	// families; the archetype families join by name), with scenario i seeded
 	// from (Seed, i). Each scenario is analyzed (roofline bound at the wall)
 	// and simulated (makespan) on Machine, and the results aggregate into
 	// per-family, distribution, and binding-ceiling tables.
@@ -551,7 +552,50 @@ func runGrid(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	return []*report.Table{grid, summary, hist}, nil
 }
 
-// runSurvey sweeps the archetype catalog across the width/depth grid.
+// surveyShapes are the survey's archetype shapes in report order, each
+// generated by a wfgen family. A shape reads only the grid dimensions its
+// family uses: bag-of-tasks and fork-join ignore the depth, pipeline and
+// scatter-gather the width.
+var surveyShapes = []surveyShape{
+	{"bag-of-tasks", "bag", true, false},
+	{"pipeline", "chain", false, true},
+	{"fork-join", "fanout", true, false},
+	{"map-reduce", "mapreduce", true, true},
+	{"scatter-gather", "scatter", false, true},
+}
+
+type surveyShape struct {
+	name, family     string
+	byWidth, byDepth bool
+}
+
+// tasks is the shape's task count at grid cell (w, d), read from its
+// family's closed-form shape. A dimension the shape reads must be positive:
+// wfgen would take a zero for its default.
+func (sh surveyShape) tasks(w, d, nodesPerTask int) (int, error) {
+	s := wfgen.Spec{Family: sh.family, NodesPerTask: nodesPerTask}
+	if sh.byWidth {
+		if w < 1 {
+			return 0, fmt.Errorf("width must be positive, got %d", w)
+		}
+		s.Width = w
+	}
+	if sh.byDepth {
+		if d < 1 {
+			return 0, fmt.Errorf("depth must be positive, got %d", d)
+		}
+		s.Depth = d
+	}
+	shape, err := s.Shape()
+	return shape.Tasks, err
+}
+
+// runSurvey reports every archetype shape across the width/depth grid. All
+// cells share the machine, the uniform per-task work and the node count, so
+// they share one wall, bound and limiting ceiling: the model is built once,
+// and a cell reads only its task count from its family's closed-form shape.
+// Cells run in (shape, width, depth) row-major order, and the first failing
+// cell's error is the one reported.
 func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	m, err := machine.ByName(spec.Machine)
 	if err != nil {
@@ -565,11 +609,6 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := archetype.Params{
-		Partition:    partition,
-		NodesPerTask: spec.NodesPerTask,
-		Work:         work,
-	}
 	widths, depths := spec.Widths, spec.Depths
 	if len(widths) == 0 {
 		widths = []int{4, 8, 16}
@@ -577,24 +616,45 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	if len(depths) == 0 {
 		depths = []int{2, 3}
 	}
-	points, err := archetype.Survey(ctx, m, params, archetype.Catalog(), widths, depths, spec.Workers)
-	if err != nil {
-		return nil, err
+	wf := workflow.New("survey", partition)
+	modelErr := wf.AddTask(&workflow.Task{ID: "task", Nodes: max(spec.NodesPerTask, 1), Work: work})
+	var model *core.Model
+	var bound float64
+	var limit core.Ceiling
+	if modelErr == nil {
+		model, modelErr = core.Build(m, wf, core.BuildOptions{})
 	}
+	if modelErr == nil {
+		bound, limit = model.BoundAtWall()
+	}
+	n := len(surveyShapes) * len(widths) * len(depths)
 	tbl := report.NewTable(
-		fmt.Sprintf("Archetype shape survey on %s/%s (%d shapes)", m.Name, partition, len(points)),
+		fmt.Sprintf("Archetype shape survey on %s/%s (%d shapes)", m.Name, partition, n),
 		"shape", "width", "depth", "tasks", "wall", "bound TPS", "limited by")
-	for _, pt := range points {
-		if err := tbl.AddRowf(pt.Shape, fmt.Sprint(pt.Width), fmt.Sprint(pt.Depth),
-			fmt.Sprint(pt.Tasks), fmt.Sprint(pt.Wall), pt.BoundTPS, pt.Limiting); err != nil {
-			return nil, err
+	for _, sh := range surveyShapes {
+		for _, w := range widths {
+			for _, d := range depths {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				tasks, err := sh.tasks(w, d, spec.NodesPerTask)
+				if err == nil {
+					err = modelErr
+				}
+				if err != nil {
+					return nil, fmt.Errorf("survey: %s w=%d d=%d: %w", sh.name, w, d, err)
+				}
+				if err := tbl.AddRowf(sh.name, fmt.Sprint(w), fmt.Sprint(d),
+					fmt.Sprint(tasks), fmt.Sprint(model.Wall), bound, limit.Name); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
+	// One ceiling limits every cell.
 	hist := report.NewTable("Binding-ceiling histogram", "ceiling", "shapes")
-	for _, bin := range sweep.Hist(len(points), func(i int) string { return points[i].Limiting }) {
-		if err := hist.AddRowf(bin.Label, fmt.Sprint(bin.Count)); err != nil {
-			return nil, err
-		}
+	if err := hist.AddRowf(limit.Name, fmt.Sprint(n)); err != nil {
+		return nil, err
 	}
 	return []*report.Table{tbl, hist}, nil
 }

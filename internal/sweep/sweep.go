@@ -1,6 +1,6 @@
 // Package sweep is the toolkit's parallel ensemble engine: it fans
 // independent model evaluations — Monte Carlo contention trials, what-if
-// scenario grids, archetype shape surveys — across a bounded pool of
+// scenario grids, generated-scenario corpora — across a bounded pool of
 // goroutines while keeping results bit-identical regardless of worker count
 // or completion order.
 //

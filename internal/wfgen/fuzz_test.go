@@ -10,7 +10,7 @@ import (
 // FuzzWfgenSpec drives the strict spec parser with arbitrary bytes. For any
 // input the parser must not panic; every error must be attributed to the
 // package (or be a JSON syntax/type error); and any accepted spec must have
-// a consistent closed-form shape, survive a Marshal/ParseSpec round trip,
+// a consistent closed-form shape, survive a Marshal/parseSpec round trip,
 // and — when small enough to build quickly — generate a DAG matching that
 // shape.
 func FuzzWfgenSpec(f *testing.F) {
@@ -30,12 +30,20 @@ func FuzzWfgenSpec(f *testing.F) {
 		`{}`,
 		`[]`,
 		`{"family":"chain","cv":1e308}`,
+		`{"family":"bag","width":12,"cv":0.4,"payload":"1 GB"}`,
+		`{"family":"mapreduce","width":5,"depth":3,"seed":4}`,
+		`{"family":"scatter","depth":4,"nodes_per_task":2}`,
+		`{"family":"scatter","depth":18}`,
+		`{"family":"scatter","depth":19}`,
+		`{"family":"scatter","depth":64}`,
+		`{"family":"scatter","depth":4294967296}`,
+		`{"family":"mapreduce","width":1000000,"depth":1000000}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := ParseSpec(data)
+		spec, err := parseSpec(data)
 		if err != nil {
 			var syn *json.SyntaxError
 			var typ *json.UnmarshalTypeError
@@ -61,7 +69,7 @@ func FuzzWfgenSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal accepted spec: %v", err)
 		}
-		spec2, err := ParseSpec(enc)
+		spec2, err := parseSpec(enc)
 		if err != nil {
 			t.Fatalf("re-parse of marshaled spec failed: %v", err)
 		}

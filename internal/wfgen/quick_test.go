@@ -15,7 +15,7 @@ import (
 // specFrom maps raw quick-generated integers onto a valid spec, keeping
 // sizes small enough that a thousand generations stay fast under -race.
 func specFrom(familyIdx, width, depth, cv uint16, seed uint64) *Spec {
-	families := Families()
+	families := allFamilies()
 	family := families[int(familyIdx)%len(families)]
 	w := 1 + int(width%24)
 	if family == "montage" && w < 2 {
@@ -98,7 +98,7 @@ func TestQuickShapeInvariants(t *testing.T) {
 // hidden mutable state.
 func TestGenerateByteEqualAcrossWorkerCounts(t *testing.T) {
 	const n = 64
-	families := Families()
+	families := allFamilies()
 	gen := func(workers int) [][]byte {
 		out, err := sweep.Map(context.Background(), n, workers, func(_ context.Context, i int) ([]byte, error) {
 			spec := &Spec{

@@ -1,9 +1,10 @@
 // Package wfgen generates synthetic workflow scenarios for corpus-scale
 // roofline studies, in the spirit of WfBench's parameterized benchmarks:
 // seeded, bit-reproducible DAGs drawn from a small catalog of topology
-// families (chains, fan-outs, diamonds, and Montage/Epigenomics-like
-// multi-stage shapes) with tunable width, depth, and per-task work
-// distributions.
+// families (chains, fan-outs, diamonds, Montage/Epigenomics-like
+// multi-stage shapes, and the bag-of-tasks, map-reduce and scatter-gather
+// archetypes of the NERSC workflow white paper) with tunable width, depth,
+// and per-task work distributions.
 //
 // Every family has a closed-form Shape — task count, maximum level width,
 // and critical-path length in levels — which the property suite checks
@@ -16,8 +17,6 @@
 package wfgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -37,15 +36,15 @@ const MaxTasks = 1_000_000
 // draws a mean-preserving lognormal factor around them.
 type Spec struct {
 	// Family selects the topology: "chain", "fanout", "diamond", "montage",
-	// or "epigenomics".
+	// "epigenomics", "bag", "mapreduce", or "scatter".
 	Family string `json:"family"`
 	// Seed drives the generator's splitmix64 stream.
 	Seed uint64 `json:"seed,omitempty"`
-	// Width is the parallel width of the family (ignored by chain).
-	// Default 4.
+	// Width is the parallel width of the family (ignored by chain and
+	// scatter). Default 4.
 	Width int `json:"width,omitempty"`
-	// Depth is the stage count for chain, diamond, and epigenomics
-	// (ignored by fanout and montage). Default 3.
+	// Depth is the stage count for chain, diamond, epigenomics, mapreduce,
+	// and scatter (ignored by fanout, montage, and bag). Default 3.
 	Depth int `json:"depth,omitempty"`
 	// Partition names the machine partition the workflow targets.
 	// Default "cpu".
@@ -80,25 +79,15 @@ type Shape struct {
 	Levels int
 }
 
-// Families lists the topology families in generation order.
+// Families lists the topology families a corpus cycles through by default,
+// in generation order. The archetype families bag, mapreduce and scatter
+// are accepted by name only.
 func Families() []string {
 	return []string{"chain", "fanout", "diamond", "montage", "epigenomics"}
 }
 
-// ParseSpec strictly decodes a generator spec: unknown fields are errors,
-// and the decoded spec is validated.
-func ParseSpec(data []byte) (*Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("wfgen: decode spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
+// allFamilies is every family a spec may name.
+func allFamilies() []string { return append(Families(), "bag", "mapreduce", "scatter") }
 
 // Normalized returns a copy of the spec with every default applied — the
 // effective spec that Validate, Shape, and Generate all operate on. It is
@@ -211,8 +200,19 @@ func (s *Spec) shape() (Shape, error) {
 		return Shape{Tasks: 3*w + 4, Width: w, Levels: 8}, nil
 	case "epigenomics":
 		return Shape{Tasks: w*d + 4, Width: w, Levels: d + 4}, nil
+	case "bag":
+		return Shape{Tasks: w, Width: w, Levels: 1}, nil
+	case "mapreduce":
+		return Shape{Tasks: d * (w + 1), Width: w, Levels: 2 * d}, nil
+	case "scatter":
+		// Guard the shift: 2^d wraps for large d, and depth 19 already
+		// exceeds MaxTasks.
+		if d > 20 {
+			return Shape{}, fmt.Errorf("wfgen: scatter depth %d generates 3*2^%d-2 tasks, cap is %d", d, d, MaxTasks)
+		}
+		return Shape{Tasks: 3<<d - 2, Width: 1 << d, Levels: 2*d + 1}, nil
 	default:
-		return Shape{}, fmt.Errorf("wfgen: unknown family %q (want %v)", s.Family, Families())
+		return Shape{}, fmt.Errorf("wfgen: unknown family %q (want %v)", s.Family, allFamilies())
 	}
 }
 
@@ -351,6 +351,12 @@ func compileTopology(n *Spec) *Topology {
 		b.montage()
 	case "epigenomics":
 		b.epigenomics()
+	case "bag":
+		b.bag()
+	case "mapreduce":
+		b.mapreduce()
+	case "scatter":
+		b.scatter()
 	}
 	return b.compile(shape)
 }
@@ -572,6 +578,61 @@ func (b *builder) epigenomics() {
 	}
 	b.dep(merge, index)
 	b.dep(index, pileup)
+}
+
+// bag: Width independent tasks.
+func (b *builder) bag() {
+	for i := 0; i < b.spec.Width; i++ {
+		b.task(taskID("task", i))
+	}
+}
+
+// mapreduce: Depth rounds of Width mappers feeding one reducer, each
+// round's reducer gating the next round's mappers. D*(W+1) tasks over 2D
+// levels.
+func (b *builder) mapreduce() {
+	w := int32(b.spec.Width)
+	prevReduce := int32(-1)
+	for k := 0; k < b.spec.Depth; k++ {
+		first := int32(len(b.ids))
+		for i := int32(0); i < w; i++ {
+			b.task(taskID2("map", k, "_", int(i)))
+		}
+		reduce := b.task(taskID("reduce", k))
+		for i := int32(0); i < w; i++ {
+			if k > 0 {
+				b.dep(prevReduce, first+i)
+			}
+			b.dep(first+i, reduce)
+		}
+		prevReduce = reduce
+	}
+}
+
+// scatter: a binary scatter tree of Depth levels down to 2^Depth leaves,
+// then the mirror-image gather tree. 3*2^D-2 tasks over 2D+1 levels.
+func (b *builder) scatter() {
+	d := b.spec.Depth
+	// Scatter level l holds tasks 2^l-1 .. 2^(l+1)-2.
+	for l := 0; l <= d; l++ {
+		for i := 0; i < 1<<l; i++ {
+			t := b.task(taskID2("scatter", l, "_", i))
+			if l > 0 {
+				b.dep(int32(1<<(l-1)-1+i/2), t)
+			}
+		}
+	}
+	// Each gather task joins a pair from the level below, the leaves first.
+	below := int32(1<<d - 1)
+	for l := d - 1; l >= 0; l-- {
+		first := int32(len(b.ids))
+		for i := int32(0); i < 1<<l; i++ {
+			g := b.task(taskID2("gather", l, "_", int(i)))
+			b.dep(below+2*i, g)
+			b.dep(below+2*i+1, g)
+		}
+		below = first
+	}
 }
 
 // taskID renders prefix followed by i zero-padded to four digits: exactly

@@ -1,27 +1,51 @@
 package wfgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"wroofline/internal/machine"
+	"wroofline/internal/sim"
 	"wroofline/internal/units"
 )
 
-// Every family's generated DAG matches its closed-form shape at a few
-// hand-picked sizes (the property suite covers the randomized space).
+// parseSpec strictly decodes and validates a generator spec the way a
+// corpus template is read: unknown fields are errors.
+func parseSpec(data []byte) (*Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, fmt.Errorf("wfgen: decode spec: %w", err)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// Every family's generated DAG matches its closed-form shape — task count,
+// levels and widest level — at a few hand-picked sizes (the property suite
+// covers the randomized space).
 func TestFamilyShapes(t *testing.T) {
 	for _, tc := range []struct {
-		family        string
-		width, depth  int
-		tasks, levels int
+		family                string
+		width, depth          int
+		tasks, levels, widest int
 	}{
-		{"chain", 1, 7, 7, 7},
-		{"fanout", 16, 1, 18, 3},
-		{"diamond", 5, 3, 21, 9},
-		{"montage", 4, 1, 16, 8},
-		{"epigenomics", 3, 4, 16, 8},
+		{"chain", 1, 7, 7, 7, 1},
+		{"fanout", 16, 1, 18, 3, 16},
+		{"diamond", 5, 3, 21, 9, 5},
+		{"montage", 4, 1, 16, 8, 4},
+		{"epigenomics", 3, 4, 16, 8, 3},
+		{"bag", 8, 5, 8, 1, 8},
+		{"mapreduce", 4, 3, 15, 6, 4},
+		{"mapreduce", 50, 4, 204, 8, 50},
+		{"scatter", 5, 3, 22, 7, 8},
+		{"scatter", 1, 1, 4, 3, 2},
 	} {
 		spec := &Spec{Family: tc.family, Width: tc.width, Depth: tc.depth, Seed: 1}
 		shape, err := spec.Shape()
@@ -44,6 +68,36 @@ func TestFamilyShapes(t *testing.T) {
 		}
 		if levels != tc.levels {
 			t.Errorf("%s levels = %d, want %d", tc.family, levels, tc.levels)
+		}
+		if width, err := wf.Graph().Width(); err != nil || width != tc.widest || shape.Width != tc.widest {
+			t.Errorf("%s widest level = %d (%v), shape says %d, want %d", tc.family, width, err, shape.Width, tc.widest)
+		}
+	}
+}
+
+// Every family simulates with the makespan its structure implies: each task
+// is 1 s of compute at the Perlmutter CPU node peak and nothing else, the
+// partition has nodes for every task at once, so the makespan is exactly
+// the critical-path length in levels.
+func TestCatalogSimulates(t *testing.T) {
+	pm := machine.Perlmutter()
+	for _, fam := range allFamilies() {
+		spec := &Spec{Family: fam, Width: 4, Depth: 3, Flops: "5 TFLOP", Mem: "0", Net: "0", FS: "0"}
+		shape, err := spec.Shape()
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		wf, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		res, err := sim.Run(wf, nil, sim.Config{Machine: pm})
+		if err != nil {
+			t.Errorf("%s: %v", fam, err)
+			continue
+		}
+		if want := float64(shape.Levels); res.Makespan < want-1e-9 || res.Makespan > want+1e-9 {
+			t.Errorf("%s: makespan %v, want %v (critical path)", fam, res.Makespan, want)
 		}
 	}
 }
@@ -116,9 +170,15 @@ func TestSpecErrors(t *testing.T) {
 		{"overflow width", `{"family":"fanout","width":9223372036854775806}`, "width"},
 		{"overflow product", `{"family":"epigenomics","width":4294967296,"depth":4294967296}`, "width"},
 		{"bad cv", `{"family":"chain","cv":9}`, "cv"},
+		{"unknown family lists all", `{"family":"pipeline"}`, "bag mapreduce scatter"},
+		{"bag over cap", `{"family":"bag","width":1000001}`, "width"},
+		{"mapreduce over cap", `{"family":"mapreduce","width":1000000,"depth":2}`, "cap"},
+		{"scatter depth 19", `{"family":"scatter","depth":19}`, "cap"},
+		{"scatter depth 64", `{"family":"scatter","depth":64}`, "cap"},
+		{"scatter overflow depth", `{"family":"scatter","depth":4294967296}`, "depth"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseSpec([]byte(tc.spec))
+			_, err := parseSpec([]byte(tc.spec))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want substring %q", err, tc.want)
 			}
@@ -126,11 +186,11 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
-// Specs round-trip through JSON without drift: what ParseSpec accepts,
+// Specs round-trip through JSON without drift: what parseSpec accepts,
 // Marshal re-emits equivalently.
 func TestSpecRoundTrip(t *testing.T) {
 	in := `{"family":"epigenomics","seed":42,"width":8,"depth":5,"cv":0.3,"payload":"1 GB"}`
-	s, err := ParseSpec([]byte(in))
+	s, err := parseSpec([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +198,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ParseSpec(enc)
+	s2, err := parseSpec(enc)
 	if err != nil {
 		t.Fatalf("re-parse: %v", err)
 	}
@@ -150,7 +210,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // taskID and taskID2 must render exactly what the %04d verb renders, past
 // four digits too, for every ID prefix the families use, in one allocation.
 func TestTaskIDMatchesSprintf(t *testing.T) {
-	for _, prefix := range []string{"t", "work", "split", "merge", "project", "diff", "background"} {
+	for _, prefix := range []string{"t", "work", "split", "merge", "project", "diff", "background", "task", "reduce"} {
 		for i := 0; i <= 12000; i++ {
 			if got, want := taskID(prefix, i), fmt.Sprintf(prefix+"%04d", i); got != want {
 				t.Fatalf("taskID(%q, %d) = %q, want %q", prefix, i, got, want)
@@ -158,7 +218,7 @@ func TestTaskIDMatchesSprintf(t *testing.T) {
 		}
 	}
 	edges := []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12000}
-	for _, f := range []struct{ prefix, sep string }{{"branch", "_"}, {"lane", "_s"}} {
+	for _, f := range []struct{ prefix, sep string }{{"branch", "_"}, {"lane", "_s"}, {"map", "_"}, {"scatter", "_"}, {"gather", "_"}} {
 		for i := 0; i <= 12000; i++ {
 			for _, j := range edges {
 				for _, ij := range [][2]int{{i, j}, {j, i}} {

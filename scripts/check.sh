@@ -174,10 +174,13 @@ fi
 # survey, corpus, failures) summarizes its own result slice with
 # sweep.Summarize and counts labels with sweep.Hist, so these packages and
 # the transcripts that print their summaries are the proof that the one
-# summary rule reproduces every table byte for byte.
+# summary rule reproduces every table byte for byte. The archetype shape
+# survey is closed-form over wfgen families; its tests and the
+# examples/archetypes transcript pin it.
 echo "== ensemble summary wall =="
 if go test -race -count=1 ./internal/sweep ./internal/whatif ./internal/contention ./internal/study &&
-   go test -count=1 ./cmd/wfsweep ./examples/custom -run 'TestGolden'; then
+   go test -count=1 ./cmd/wfsweep ./examples/custom ./examples/archetypes -run 'TestGolden' &&
+   go test -count=1 ./internal/study ./internal/serve -run 'Survey'; then
     echo "ok"
 else
     fail=1
