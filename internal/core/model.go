@@ -527,6 +527,10 @@ func ceilingTimes(m *machine.Machine, part *machine.Partition, partition, name s
 	memBW := part.EffectiveMemBW()
 	cs.add(ResMemory, ScopeNode, float64(work.MemBytes), float64(memBW),
 		units.TimeToMove(work.MemBytes, memBW))
+	if work.PCIeBytes > 0 && part.NodePCIeBW <= 0 {
+		return cs, fmt.Errorf("core: workflow %s moves PCIe data but partition %s/%s has no PCIe bandwidth",
+			name, m.Name, partition)
+	}
 	cs.add(ResPCIe, ScopeNode, float64(work.PCIeBytes), float64(part.NodePCIeBW),
 		units.TimeToMove(work.PCIeBytes, part.NodePCIeBW))
 	// Network bytes are characterized per node and ride the per-node NIC

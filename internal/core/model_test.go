@@ -450,6 +450,16 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(noExt, w3, BuildOptions{}); err == nil {
 		t.Error("external bytes without external bandwidth should fail")
 	}
+	// PCIe bytes on a partition with no PCIe peak: a named error, not an
+	// invalid +Inf ceiling time.
+	w4 := workflow.New("pcie", machine.PartCPU)
+	if err := w4.AddTask(&workflow.Task{ID: "t", Nodes: 1, Work: workflow.Work{PCIeBytes: 1 * units.GB}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(pm, w4, BuildOptions{}); err == nil ||
+		err.Error() != "core: workflow pcie moves PCIe data but partition Perlmutter/cpu has no PCIe bandwidth" {
+		t.Errorf("PCIe bytes without PCIe bandwidth: err = %v", err)
+	}
 	// Empty workflow.
 	if _, err := Build(pm, workflow.New("empty", machine.PartGPU), BuildOptions{}); err == nil {
 		t.Error("empty workflow should fail")

@@ -6,9 +6,8 @@ import (
 )
 
 // TestScheduleAtEdgeCases pins the engine's contract around +Inf "no next
-// completion" placeholders and cancelled events, table-driven over the
-// drain paths (Run and RunUntil). These are the shapes the resource pools
-// lean on: park a placeholder at +Inf, cancel it when a real completion
+// completion" placeholders and cancelled events, table-driven over Run
+// drains. These are the shapes the resource pools lean on: park a placeholder at +Inf, cancel it when a real completion
 // shows up, and let the drain loops skip the corpses.
 func TestScheduleAtEdgeCases(t *testing.T) {
 	cases := []struct {
@@ -64,7 +63,7 @@ func TestScheduleAtEdgeCases(t *testing.T) {
 			wantPending: 1,
 		},
 		{
-			name: "RunUntil drains cancelled heads without firing them",
+			name: "Run drains cancelled heads without firing them",
 			setup: func(t *testing.T, e *Engine, fired *[]float64) func() error {
 				for _, d := range []float64{1, 2} {
 					ev, err := e.Schedule(d, func() { t.Error("cancelled event fired") })
@@ -74,37 +73,10 @@ func TestScheduleAtEdgeCases(t *testing.T) {
 					ev.Cancel()
 				}
 				mustSchedule(t, e, 3, fired)
-				return func() error { return e.RunUntil(2.5) }
+				return e.Run
 			},
-			wantFired:   nil,
-			wantNow:     2.5,
-			wantPending: 1, // the live event at t=3 stays queued
-		},
-		{
-			name: "RunUntil drains cancelled heads even past the horizon",
-			setup: func(t *testing.T, e *Engine, fired *[]float64) func() error {
-				ev, err := e.Schedule(100, func() { t.Error("cancelled event fired") })
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev.Cancel()
-				return func() error { return e.RunUntil(5) }
-			},
-			wantFired:   nil,
-			wantNow:     5,
-			wantPending: 0,
-		},
-		{
-			name: "RunUntil(+Inf) stops at a live placeholder without an infinite clock",
-			setup: func(t *testing.T, e *Engine, fired *[]float64) func() error {
-				if _, err := e.Schedule(math.Inf(1), func() { t.Error("placeholder fired") }); err != nil {
-					t.Fatal(err)
-				}
-				mustSchedule(t, e, 4, fired)
-				return func() error { return e.RunUntil(math.Inf(1)) }
-			},
-			wantFired:   []float64{4},
-			wantNow:     4,
+			wantFired:   []float64{3},
+			wantNow:     3,
 			wantPending: 0,
 		},
 		{
@@ -147,12 +119,15 @@ func TestScheduleAtEdgeCases(t *testing.T) {
 			if e.Now() != tc.wantNow {
 				t.Errorf("clock = %v, want %v", e.Now(), tc.wantNow)
 			}
-			if e.Pending() != tc.wantPending {
-				t.Errorf("pending = %d, want %d", e.Pending(), tc.wantPending)
+			if got := pending(e); got != tc.wantPending {
+				t.Errorf("pending = %d, want %d", got, tc.wantPending)
 			}
 		})
 	}
 }
+
+// pending is the number of live (non-cancelled) events still queued.
+func pending(e *Engine) int { return len(e.events) - e.canceledLive }
 
 // mustSchedule queues a callback at delay d that records its firing time.
 func mustSchedule(t *testing.T, e *Engine, d float64, fired *[]float64) {

@@ -8,15 +8,19 @@
 // Determinism is guaranteed by breaking time ties with a monotonically
 // increasing sequence number.
 //
+// The queue is a binary min-heap ordered by (time, seq). Because that key is
+// a strict total order, any correct heap pops events in the same order.
+//
 // The kernel is built for steady-state zero allocation: fired and cancelled
 // events return to a free list and are reused by later Schedule/At calls,
 // and cancellation is lazy — a cancelled event stays in the heap until it
 // is popped or until cancelled events outnumber live ones, at which point
-// the heap is compacted in one pass.
+// the heap is compacted in one pass. A holder that re-arms one pending
+// event over and over (a link's next completion) uses Reschedule, which
+// moves the event in place and leaves no cancelled event behind.
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -26,10 +30,11 @@ import (
 // Events are recycled: once an event has fired (or been cancelled and
 // drained) the engine may hand the same *Event back out from a later
 // Schedule/At call. Holders must therefore drop their reference when the
-// callback runs and must not call Cancel on an event that has already
-// fired. Cancel on an already-popped event is a no-op, so the common
-// "cancel the pending completion, if any" pattern stays safe as long as the
-// callback clears the holder's pointer first.
+// callback runs or when they cancel the event, and must not call Cancel or
+// Reschedule on an event that has already fired. Cancel on an already-popped
+// event is a no-op, so the common "cancel the pending completion, if any"
+// pattern stays safe as long as the callback clears the holder's pointer
+// first.
 type Event struct {
 	time     float64
 	seq      uint64
@@ -38,9 +43,6 @@ type Event struct {
 	canceled bool
 	owner    *Engine
 }
-
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
 
 // Cancel prevents the event from firing. Cancelling an already-fired,
 // already-drained, or already-cancelled event is a no-op.
@@ -55,36 +57,12 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called while the event was queued.
-func (e *Event) Canceled() bool { return e.canceled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, seq).
+func before(a, b *Event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // compactMin is the queue size below which lazy deletion is left alone:
@@ -101,7 +79,7 @@ const maxFree = 8192
 type Engine struct {
 	now    float64
 	seq    uint64
-	events eventHeap
+	events []*Event // binary min-heap by (time, seq)
 	// canceledLive counts cancelled events still sitting in the heap.
 	canceledLive int
 	// free is the recycled-event stack (see Event).
@@ -135,12 +113,6 @@ func (e *Engine) Reset() {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Processed returns the number of events fired so far.
-func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of live (non-cancelled) events still queued.
-func (e *Engine) Pending() int { return len(e.events) - e.canceledLive }
-
 // alloc takes an event from the free list (or the heap's allocator) and
 // initializes it.
 func (e *Engine) alloc(t float64, fn func()) *Event {
@@ -170,8 +142,74 @@ func (e *Engine) release(ev *Event) {
 	}
 }
 
+// up moves the event at heap index i toward the root until its parent is
+// earlier.
+func (e *Engine) up(i int) {
+	h := e.events
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down moves the event at heap index i toward the leaves until both
+// children are later, and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	h := e.events
+	n := len(h)
+	ev := h[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > start
+}
+
+// push queues ev.
+func (e *Engine) push(ev *Event) {
+	e.events = append(e.events, ev)
+	e.up(len(e.events) - 1)
+}
+
+// pop removes and returns the earliest queued event (cancelled or not).
+func (e *Engine) pop() *Event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = nil
+	e.events = h[:n]
+	if n > 0 {
+		e.down(0)
+	}
+	top.index = -1
+	return top
+}
+
 // maybeCompact rebuilds the heap without the cancelled events once they
-// outnumber the live ones, keeping Step/RunUntil drains O(live).
+// outnumber the live ones, keeping Step drains O(live).
 func (e *Engine) maybeCompact() {
 	if len(e.events) < compactMin || e.canceledLive <= len(e.events)/2 {
 		return
@@ -193,7 +231,9 @@ func (e *Engine) maybeCompact() {
 	for i, ev := range e.events {
 		ev.index = i
 	}
-	heap.Init(&e.events)
+	for i := len(e.events)/2 - 1; i >= 0; i-- {
+		e.down(i)
+	}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -209,18 +249,49 @@ func (e *Engine) At(t float64, fn func()) (*Event, error) {
 		return nil, fmt.Errorf("engine: nil callback")
 	}
 	ev := e.alloc(t, fn)
-	heap.Push(&e.events, ev)
+	e.push(ev)
 	return ev, nil
+}
+
+// checkDelay reports the error for scheduling delay seconds from now.
+func checkDelay(delay float64) error {
+	if delay < 0 || math.IsNaN(delay) {
+		return fmt.Errorf("engine: negative or NaN delay %v", delay)
+	}
+	return nil
 }
 
 // Schedule schedules fn to run delay seconds from now. Negative delays are
 // errors; +Inf delays are accepted and never fire (useful for "no next
 // completion" placeholders that will be cancelled).
 func (e *Engine) Schedule(delay float64, fn func()) (*Event, error) {
-	if delay < 0 || math.IsNaN(delay) {
-		return nil, fmt.Errorf("engine: negative or NaN delay %v", delay)
+	if err := checkDelay(delay); err != nil {
+		return nil, err
 	}
 	return e.At(e.now+delay, fn)
+}
+
+// Reschedule moves a queued event to fire delay seconds from now. It is
+// Cancel followed by Schedule of the same callback, done in place: the
+// event takes a fresh sequence number, so it fires after every event
+// already queued for the same time, exactly as a newly scheduled one would,
+// and no cancelled event is left in the queue. The delay rules are
+// Schedule's. Rescheduling an event that is not queued — it fired, was
+// cancelled, or was drained — is an error, and the event is left as it was.
+func (e *Engine) Reschedule(ev *Event, delay float64) error {
+	if err := checkDelay(delay); err != nil {
+		return err
+	}
+	if ev == nil || ev.owner != e || ev.index < 0 || ev.canceled {
+		return fmt.Errorf("engine: reschedule of an event that is not queued")
+	}
+	ev.time = e.now + delay
+	ev.seq = e.seq
+	e.seq++
+	if !e.down(ev.index) {
+		e.up(ev.index)
+	}
+	return nil
 }
 
 // Step fires the earliest pending non-cancelled event and returns true, or
@@ -228,7 +299,7 @@ func (e *Engine) Schedule(delay float64, fn func()) (*Event, error) {
 // fired; they terminate the run as if the queue were empty.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.pop()
 		if ev.canceled {
 			e.canceledLive--
 			e.release(ev)
@@ -256,34 +327,6 @@ func (e *Engine) Run() error {
 		if e.MaxEvents > 0 && e.processed > e.MaxEvents {
 			return fmt.Errorf("engine: exceeded %d events at t=%v; likely a scheduling loop", e.MaxEvents, e.now)
 		}
-	}
-	return nil
-}
-
-// RunUntil fires events with time <= t, then advances the clock to t if it
-// is ahead of the last event. Events after t remain queued.
-func (e *Engine) RunUntil(t float64) error {
-	for len(e.events) > 0 {
-		// Peek.
-		next := e.events[0]
-		if next.canceled {
-			heap.Pop(&e.events)
-			e.canceledLive--
-			e.release(next)
-			continue
-		}
-		if next.time > t {
-			break
-		}
-		if !e.Step() {
-			break
-		}
-		if e.MaxEvents > 0 && e.processed > e.MaxEvents {
-			return fmt.Errorf("engine: exceeded %d events at t=%v; likely a scheduling loop", e.MaxEvents, e.now)
-		}
-	}
-	if t > e.now && !math.IsInf(t, 1) {
-		e.now = t
 	}
 	return nil
 }

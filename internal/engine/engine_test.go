@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -29,8 +30,8 @@ func TestScheduleAndRunOrder(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("final time = %v, want 3", e.Now())
 	}
-	if e.Processed() != 3 {
-		t.Errorf("processed = %d, want 3", e.Processed())
+	if e.processed != 3 {
+		t.Errorf("processed = %d, want 3", e.processed)
 	}
 }
 
@@ -87,8 +88,8 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Error("Canceled() should be true")
+	if !ev.canceled {
+		t.Error("cancelled flag should be set")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -165,61 +166,14 @@ func TestMaxEventsGuard(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4, 5} {
-		if _, err := e.Schedule(d, func() { fired = append(fired, e.Now()) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 3 {
-		t.Fatalf("fired %d events, want 3", len(fired))
-	}
-	if e.Now() != 3 {
-		t.Errorf("clock = %v, want 3", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	// Advancing past the last event moves the clock.
-	if err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 10 {
-		t.Errorf("clock = %v, want 10", e.Now())
-	}
-	if len(fired) != 5 {
-		t.Errorf("fired %d events total, want 5", len(fired))
-	}
-}
-
-func TestRunUntilSkipsCancelled(t *testing.T) {
-	e := New()
-	ev, err := e.Schedule(1, func() { t.Error("cancelled event fired") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Cancel()
-	if err := e.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 5 {
-		t.Errorf("clock = %v", e.Now())
-	}
-}
-
 func TestEventTime(t *testing.T) {
 	e := New()
 	ev, err := e.Schedule(2.5, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Time() != 2.5 {
-		t.Errorf("Time = %v", ev.Time())
+	if ev.time != 2.5 {
+		t.Errorf("time = %v", ev.time)
 	}
 }
 
@@ -260,23 +214,6 @@ func TestQuickEventOrdering(t *testing.T) {
 	}
 }
 
-func TestRunUntilMaxEvents(t *testing.T) {
-	e := New()
-	e.MaxEvents = 10
-	var loop func()
-	loop = func() {
-		if _, err := e.Schedule(0.5, loop); err != nil {
-			t.Error(err)
-		}
-	}
-	if _, err := e.Schedule(0.5, loop); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunUntil(100); err == nil {
-		t.Error("RunUntil should trip MaxEvents on a runaway loop")
-	}
-}
-
 func TestZeroDelayEventsRunInOrder(t *testing.T) {
 	e := New()
 	var order []int
@@ -304,5 +241,102 @@ func TestZeroDelayEventsRunInOrder(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Errorf("zero-delay chain advanced the clock to %v", e.Now())
+	}
+}
+
+// TestReschedule pins Reschedule's contract: the event moves in place (no
+// cancelled event is left queued), takes a fresh sequence number so it
+// fires after events already queued for the same time, and a re-arm loop
+// allocates nothing.
+func TestReschedule(t *testing.T) {
+	e := New()
+	var order []string
+	mk := func(name string, d float64) *Event {
+		ev, err := e.Schedule(d, func() { order = append(order, fmt.Sprintf("%s@%v", name, e.Now())) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	a := mk("a", 1)
+	mk("b", 2)
+	c := mk("c", 3)
+	if err := e.Reschedule(a, 2); err != nil { // ties b: fires after it
+		t.Fatal(err)
+	}
+	if err := e.Reschedule(c, 0.5); err != nil { // moves earlier
+		t.Fatal(err)
+	}
+	if len(e.events) != 3 || e.canceledLive != 0 {
+		t.Fatalf("queue holds %d events (%d cancelled), want 3 live", len(e.events), e.canceledLive)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[c@0.5 b@2 a@2]"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+
+	ev := mk("d", 1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := e.Reschedule(ev, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("Reschedule allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestRescheduleNotQueued: rescheduling an event that is not queued (fired,
+// cancelled, another engine's, nil) is an error, never a silent no-op, and
+// a rejected delay leaves the event where it was.
+func TestRescheduleNotQueued(t *testing.T) {
+	e := New()
+	fired, err := e.Schedule(1, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inside error
+	self, err := e.Schedule(2, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self.fn = func() { inside = e.Reschedule(self, 1) }
+	canceled, err := e.Schedule(5, func() { t.Error("cancelled event fired") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled.Cancel()
+	other, err := New().Schedule(1, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0.0
+	stay, err := e.Schedule(3, func() { kept = e.Now() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Step() {
+		t.Fatal("Step returned false")
+	}
+	for name, ev := range map[string]*Event{"fired": fired, "cancelled": canceled, "foreign": other, "nil": nil} {
+		if err := e.Reschedule(ev, 1); err == nil {
+			t.Errorf("Reschedule of a %s event succeeded", name)
+		}
+	}
+	for _, d := range []float64{-1, math.NaN()} {
+		if err := e.Reschedule(stay, d); err == nil {
+			t.Errorf("Reschedule with delay %v succeeded", d)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inside == nil {
+		t.Error("an event rescheduling itself from its own callback succeeded")
+	}
+	if kept != 3 {
+		t.Errorf("event behind a rejected Reschedule fired at %v, want 3", kept)
 	}
 }

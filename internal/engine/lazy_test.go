@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestPendingExcludesCancelled is the regression test for Pending() counting
+// TestPendingExcludesCancelled is the regression test for the live count
 // lazily-deleted events: cancel half a large queue and the live count must
 // drop immediately, before any event is popped.
 func TestPendingExcludesCancelled(t *testing.T) {
@@ -19,20 +19,20 @@ func TestPendingExcludesCancelled(t *testing.T) {
 		}
 		events = append(events, ev)
 	}
-	if got := e.Pending(); got != n {
+	if got := pending(e); got != n {
 		t.Fatalf("Pending before cancel = %d, want %d", got, n)
 	}
 	for i := 0; i < n; i += 2 {
 		events[i].Cancel()
 	}
-	if got := e.Pending(); got != n/2 {
+	if got := pending(e); got != n/2 {
 		t.Fatalf("Pending after cancelling half = %d, want %d", got, n/2)
 	}
 	// Double-cancel must not double-count.
 	for i := 0; i < n; i += 2 {
 		events[i].Cancel()
 	}
-	if got := e.Pending(); got != n/2 {
+	if got := pending(e); got != n/2 {
 		t.Fatalf("Pending after double-cancel = %d, want %d", got, n/2)
 	}
 	fired := 0
@@ -42,7 +42,7 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if fired != n/2 {
 		t.Fatalf("fired %d events, want %d", fired, n/2)
 	}
-	if got := e.Pending(); got != 0 {
+	if got := pending(e); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestCompaction(t *testing.T) {
 		}
 	}
 	want := n / 8
-	if got := e.Pending(); got != want {
+	if got := pending(e); got != want {
 		t.Fatalf("Pending = %d, want %d", got, want)
 	}
 	// After compaction the physical queue should be close to the live count,
@@ -110,10 +110,10 @@ func TestCancelAfterPopIsNoop(t *testing.T) {
 	if ev2 != ev1 {
 		t.Log("free list did not recycle the event; contract still holds")
 	}
-	if ev2.Canceled() {
+	if ev2.canceled {
 		t.Fatal("recycled event inherited cancellation from stale Cancel")
 	}
-	if got := e.Pending(); got != 1 {
+	if got := pending(e); got != 1 {
 		t.Fatalf("Pending = %d, want 1", got)
 	}
 	if !e.Step() {
@@ -160,8 +160,8 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d processed=%d", e.Now(), e.Pending(), e.Processed())
+	if e.Now() != 0 || pending(e) != 0 || e.processed != 0 {
+		t.Fatalf("Reset left state: now=%v pending=%d processed=%d", e.Now(), pending(e), e.processed)
 	}
 	// A reset engine must behave like a fresh one, including seq restart.
 	order := []float64{}

@@ -32,7 +32,8 @@ type flow struct {
 // link integrates one shared work clock vnow at the common per-flow rate. A
 // flow admitted with B bytes completes when vnow advances past its admission
 // value plus B, so a rate change (arrival, completion, SetCapacity) is an
-// O(1) epoch update plus one rescheduled "next completion" event per link.
+// O(1) epoch update plus one in-place re-arm of the link's single "next
+// completion" event (engine.Reschedule).
 // Completions pop from a per-link min-heap keyed by vfinish.
 //
 // A Link models the paper's shared system resources: the parallel file
@@ -206,7 +207,7 @@ func (l *Link) shareRate(n int) float64 {
 }
 
 // reschedule recomputes the common rate, fires any completions already
-// within tolerance, and (re)arms the single next-completion event.
+// within tolerance, and arms or re-arms the single next-completion event.
 func (l *Link) reschedule() {
 	// Complete flows already within tolerance at the rate they would
 	// receive, so a completion event that lands on the same timestamp (after
@@ -231,23 +232,25 @@ func (l *Link) reschedule() {
 			break
 		}
 	}
-	// Cancel immediately before arming: a done callback above may have
-	// reentrantly Transferred and armed its own next-completion event.
-	if l.next != nil {
-		l.next.Cancel()
-		l.next = nil
-	}
 	delay := (l.heap[0].vfinish - l.vnow) / l.rate
 	if delay < 0 {
 		delay = 0
 	}
-	ev, err := l.eng.Schedule(delay, l.onNext)
+	// Re-arm the pending completion in place when there is one (a done
+	// callback above may have reentrantly Transferred and armed it): the
+	// engine gives it a fresh sequence number, exactly as cancelling it and
+	// scheduling anew would, without leaving a cancelled event queued.
+	var err error
+	if l.next != nil {
+		err = l.eng.Reschedule(l.next, delay)
+	} else {
+		l.next, err = l.eng.Schedule(delay, l.onNext)
+	}
 	if err != nil {
 		// Scheduling forward from now with a non-negative delay cannot fail;
 		// a failure here means the engine clock is corrupt.
 		panic(fmt.Sprintf("resources: link %q: %v", l.Name, err))
 	}
-	l.next = ev
 }
 
 // completeReady pops and fires every flow within tolerance at the current

@@ -98,6 +98,13 @@ func (p *Pool) Acquire(n int, granted func()) error {
 	if granted == nil {
 		return fmt.Errorf("resources: pool %q: nil grant callback", p.Name)
 	}
+	if p.head == len(p.queue) && n <= p.free {
+		// Nothing is waiting and the nodes are free: grant at once, the
+		// outcome the FIFO queue would reach.
+		p.take(n)
+		granted()
+		return nil
+	}
 	if len(p.queue) == cap(p.queue) && p.head > 0 {
 		k := copy(p.queue, p.queue[p.head:])
 		clear(p.queue[k:])
@@ -177,10 +184,15 @@ func (p *Pool) dispatch() {
 			p.queue = p.queue[:0]
 			p.head = 0
 		}
-		p.free -= req.n
-		if inUse := p.total - p.free - p.down; inUse > p.peakInUse {
-			p.peakInUse = inUse
-		}
+		p.take(req.n)
 		req.granted()
+	}
+}
+
+// take allocates n free nodes and updates the high-water mark.
+func (p *Pool) take(n int) {
+	p.free -= n
+	if inUse := p.total - p.free - p.down; inUse > p.peakInUse {
+		p.peakInUse = inUse
 	}
 }

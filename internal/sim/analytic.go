@@ -54,25 +54,19 @@ func (p *Plan) computeAnalytic() {
 	// Event-budget parity: every node phase schedules exactly one engine
 	// event; zero-byte external/FS phases complete synchronously without
 	// one. (Non-zero external/FS phases are excluded above.)
-	sc := analyticPool.Get().(*analyticScratch)
-	defer analyticPool.Put(sc)
 	var events uint64
-	durs := fit(sc.durs, p.slots)
-	sc.durs = durs
 	for i, prog := range p.programs {
 		off := p.phOff[i]
-		for j, ph := range prog {
-			switch ph.Kind {
+		for j := range prog {
+			switch prog[j].Kind {
 			case PhaseExternal, PhaseFS:
-				durs[off+j] = 0
 			default:
 				events++
-				d, err := p.nodePhaseSeconds(i, ph)
-				if err != nil || math.IsNaN(d) {
-					// The event loop reports this error; stay on it.
+				if math.IsNaN(p.slotSec[off+j]) {
+					// The duration errors (or is NaN): the event loop
+					// reports it; stay on it.
 					return
 				}
-				durs[off+j] = d
 			}
 		}
 	}
@@ -84,6 +78,8 @@ func (p *Plan) computeAnalytic() {
 	// and successor lists). ready[i] is task i's start: the max end over its
 	// predecessors, exactly the engine time at which its last dependency
 	// completes and submits it.
+	sc := analyticPool.Get().(*analyticScratch)
+	defer analyticPool.Put(sc)
 	n := p.total
 	indeg := fit(sc.indeg, n)
 	copy(indeg, p.preds)
@@ -109,7 +105,7 @@ func (p *Plan) computeAnalytic() {
 		fg, end := start, start
 		off := p.phOff[i]
 		for j, ph := range p.programs[i] {
-			d := durs[off+j]
+			d := p.slotSec[off+j]
 			if ph.Background {
 				if e := fg + d; e > end {
 					end = e
@@ -152,11 +148,11 @@ func (p *Plan) computeAnalytic() {
 	p.analytic = &br
 }
 
-// analyticScratch is the longest-path pass's working storage: phase
-// durations, in-degrees, ready times and the Kahn queue. Passes take it from
-// analyticPool, so binding a plan allocates none of it.
+// analyticScratch is the longest-path pass's working storage: in-degrees,
+// ready times and the Kahn queue. Passes take it from analyticPool, so
+// binding a plan allocates none of it.
 type analyticScratch struct {
-	durs, ready  []float64
+	ready        []float64
 	indeg, queue []int
 }
 

@@ -37,6 +37,11 @@ type Plan struct {
 	phOff    []int     // phase slot offsets: task i's phase j is slot phOff[i]+j
 	slotTask []int32   // the task index owning each phase slot
 	slots    int       // total phase slots (phOff[len(tasks)])
+	// slotSec is each node phase slot's nominal duration (nodePhaseSeconds
+	// of the program's phase), NaN where that errors; external and FS slots
+	// hold 0. Attempts that run the nominal program read it instead
+	// of recomputing the duration per phase per trial.
+	slotSec []float64
 
 	needExternal bool
 	needFS       bool
@@ -270,6 +275,9 @@ type taskState struct {
 	// prog is the current attempt's program: the plan's nominal program, or
 	// the scaled buffer for partial (failed/checkpoint-resumed) attempts.
 	prog Program
+	// nominal reports that prog is the plan's own program, whose node phase
+	// durations are precomputed in Plan.slotSec.
+	nominal bool
 
 	// attempt counts attempts so far (1 on the first run).
 	attempt int
@@ -515,6 +523,7 @@ func (r *trialRun) startAttempt(i int) {
 		}
 	}
 	prog := r.plan.programs[i]
+	st.nominal = true
 	if r.fm != nil {
 		// planned = work this attempt would do if it succeeded: the remaining
 		// fraction, plus the checkpoint-restart overhead of re-processing
@@ -529,6 +538,7 @@ func (r *trialRun) startAttempt(i int) {
 		}
 		if factor != 1 {
 			prog = st.scaleInto(prog, factor)
+			st.nominal = false
 		}
 	}
 	st.prog = prog
@@ -548,7 +558,7 @@ func (r *trialRun) execFrom(i, j int) {
 			r.maybeComplete(i)
 			return
 		}
-		ph := prog[j]
+		ph := &prog[j]
 		k := r.plan.phOff[i] + j
 		r.begins[k] = r.eng.Now()
 		if ph.Background {
@@ -565,7 +575,7 @@ func (r *trialRun) execFrom(i, j int) {
 
 // dispatch starts phase slot k; its completion lands in phaseDone (possibly
 // synchronously, for zero-byte transfers).
-func (r *trialRun) dispatch(i int, ph Phase, k int) {
+func (r *trialRun) dispatch(i int, ph *Phase, k int) {
 	switch ph.Kind {
 	case PhaseExternal:
 		r.transfer(r.external, ph, k)
@@ -574,7 +584,7 @@ func (r *trialRun) dispatch(i int, ph Phase, k int) {
 	case PhaseNetwork:
 		r.network(i, ph, k)
 	default:
-		d, err := r.plan.nodePhaseSeconds(i, ph)
+		d, err := r.phaseSeconds(i, ph, k)
 		if err != nil {
 			r.fail(err)
 			return
@@ -583,6 +593,17 @@ func (r *trialRun) dispatch(i int, ph Phase, k int) {
 			r.fail(err)
 		}
 	}
+}
+
+// phaseSeconds is node phase slot k's duration: the plan's precomputed
+// slotSec while the attempt runs the nominal program, nodePhaseSeconds for
+// scaled attempts and for slots whose duration errors (so the error text is
+// the one nodePhaseSeconds reports).
+func (r *trialRun) phaseSeconds(i int, ph *Phase, k int) (float64, error) {
+	if d := r.plan.slotSec[k]; !math.IsNaN(d) && r.states[i].nominal {
+		return d, nil
+	}
+	return r.plan.nodePhaseSeconds(i, ph)
 }
 
 // slotDone is donecb's target: phase slot k finished.
@@ -609,7 +630,7 @@ func (r *trialRun) flowDone(k int) {
 // foreground chain.
 func (r *trialRun) phaseDone(i, j, k int) {
 	st := &r.states[i]
-	ph := st.prog[j]
+	ph := &st.prog[j]
 	begin, end := r.begins[k], r.eng.Now()
 	if !r.record(r.plan.ids[i], ph.label(), begin, end) {
 		return
@@ -707,7 +728,7 @@ func (e *exhaustedError) Unwrap() error { return ErrPermanentFailure }
 
 // transfer moves the phase bytes over a shared link, scaled by efficiency
 // (an 0.5-efficient transfer moves bytes/0.5 effective volume).
-func (r *trialRun) transfer(link *resources.Link, ph Phase, k int) {
+func (r *trialRun) transfer(link *resources.Link, ph *Phase, k int) {
 	if link == nil {
 		// Zero-byte phases on an absent link complete immediately.
 		if ph.Bytes == 0 {
@@ -730,8 +751,8 @@ func (r *trialRun) transfer(link *resources.Link, ph Phase, k int) {
 // link, and completes only when both the injection delay and the fabric
 // transfer have finished — concurrent wide phases contend for the fabric
 // even when each node's NIC has headroom.
-func (r *trialRun) network(i int, ph Phase, k int) {
-	d, err := r.plan.nodePhaseSeconds(i, ph)
+func (r *trialRun) network(i int, ph *Phase, k int) {
+	d, err := r.phaseSeconds(i, ph, k)
 	if err != nil {
 		r.fail(err)
 		return
@@ -766,7 +787,7 @@ func (r *trialRun) joinDone(k int) {
 
 // nodePhaseSeconds computes a node-local phase duration from the machine
 // peaks and the phase efficiency.
-func (p *Plan) nodePhaseSeconds(i int, ph Phase) (float64, error) {
+func (p *Plan) nodePhaseSeconds(i int, ph *Phase) (float64, error) {
 	var peakTime float64
 	switch ph.Kind {
 	case PhaseNetwork:

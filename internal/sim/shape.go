@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"wroofline/internal/failure"
@@ -262,9 +263,21 @@ func (s *Shape) bind(p *Plan, work []workflow.Work, custom map[string]Program) e
 	p.slab = slab
 	p.phOff[n] = p.slots
 	p.slotTask = fit(p.slotTask, p.slots)
-	for i := 0; i < n; i++ {
-		for k := p.phOff[i]; k < p.phOff[i+1]; k++ {
-			p.slotTask[k] = int32(i)
+	p.slotSec = fit(p.slotSec, p.slots)
+	for i, prog := range p.programs {
+		off := p.phOff[i]
+		for j := range prog {
+			p.slotTask[off+j] = int32(i)
+			d := 0.0
+			switch prog[j].Kind {
+			case PhaseExternal, PhaseFS:
+			default:
+				var err error
+				if d, err = p.nodePhaseSeconds(i, &prog[j]); err != nil {
+					d = math.NaN()
+				}
+			}
+			p.slotSec[off+j] = d
 		}
 	}
 

@@ -603,7 +603,7 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	}
 	partition := spec.Partition
 	if partition == "" {
-		partition = machine.PartCPU
+		partition = defaultPartition(m)
 	}
 	work, err := spec.Work.work()
 	if err != nil {
@@ -657,6 +657,19 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 		return nil, err
 	}
 	return []*report.Table{tbl, hist}, nil
+}
+
+// defaultPartition is the partition a survey runs on when its spec names
+// none: cpu when the machine has it, else the machine's only partition. A
+// machine with several partitions and no cpu keeps cpu, so the error lists
+// the partitions to choose from.
+func defaultPartition(m *machine.Machine) string {
+	if _, ok := m.Partitions[machine.PartCPU]; !ok && len(m.Partitions) == 1 {
+		for name := range m.Partitions {
+			return name
+		}
+	}
+	return machine.PartCPU
 }
 
 // corpusScenario is one generated scenario's analysis + simulation outcome.

@@ -100,6 +100,9 @@ func TestSurveyErrors(t *testing.T) {
 			[]string{"fork-join w=999999 d=1:", "cap"}},
 		{"scatter-gather over the task cap", surveySpec([]int{1}, []int{18, 19}, 1),
 			[]string{"scatter-gather w=1 d=19:", "cap"}},
+		{"PCIe work on a partition without PCIe", &Spec{Kind: "survey", Machine: "perlmutter", Partition: "cpu",
+			Work: &WorkSpec{PCIe: "1 GB"}},
+			[]string{"bag-of-tasks w=4 d=2:", "moves PCIe data but partition Perlmutter/cpu has no PCIe bandwidth"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.spec)
@@ -138,5 +141,23 @@ func TestSurveyErrors(t *testing.T) {
 	cancel()
 	if _, err := RunStreamCached(ctx, surveySpec([]int{4}, []int{2}, 1), nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled survey: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSurveyDefaultPartition: a survey that names no partition runs on cpu
+// when the machine has one and otherwise on the machine's only partition.
+func TestSurveyDefaultPartition(t *testing.T) {
+	for machine, want := range map[string]string{
+		"perlmutter": "on Perlmutter/cpu",
+		"cori":       "on Cori/haswell",
+	} {
+		spec := &Spec{Kind: "survey", Machine: machine, Work: &WorkSpec{Flops: "5 TFLOP", FS: "100 GB"}}
+		tables, err := RunStreamCached(context.Background(), spec, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", machine, err)
+		}
+		if title := tables[0].Title; !strings.Contains(title, want) {
+			t.Errorf("%s: title %q, want it to contain %q", machine, title, want)
+		}
 	}
 }

@@ -56,6 +56,23 @@ else
     fail=1
 fi
 
+# The event queue wall is the correctness proof for the typed event heap
+# and in-place Reschedule: random At/Schedule/Cancel/Reschedule/Step
+# programs must match the container/heap reference engine (firing order,
+# times, schedule and MaxEvents errors), the bucketed link must match its
+# per-flow reference, the batch executor must match per-trial runs, every
+# corpus lane scenario must match the reference path, and no simulated
+# makespan may beat the roofline-weighted critical path.
+echo "== event queue wall (race) =="
+if go test -race ./internal/engine -count=1 &&
+   go test -race ./internal/resources -run 'TestQuickDifferentialLink|TestQuickBucketedCapacityConservation' -count=1 &&
+   go test -race ./internal/sim -run 'TestBatchDifferential|TestSimMakespanAtLeastCriticalPath' -count=1 &&
+   go test -race ./internal/study -run 'TestCorpusLaneMatchesReference' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The failure exhaustion wall: a trial whose task uses up its attempts
 # surfaces from RunBatch as an indexed, resumable error, and a failure
 # ensemble reports it in an "unfinished" bin (buffered and streamed alike)
@@ -202,7 +219,8 @@ if [ "${1:-}" = "-fuzz" ]; then
     for target in ./internal/wdl:FuzzParse ./internal/sbatch:FuzzParse \
                   ./internal/machine:FuzzParse ./internal/failure:FuzzParse \
                   ./internal/wfgen:FuzzWfgenSpec ./internal/sim:FuzzBatchPlan \
-                  ./internal/study:FuzzCorpusLane; do
+                  ./internal/study:FuzzCorpusLane ./internal/engine:FuzzEngine \
+                  ./internal/sim:FuzzSimMakespanBound; do
         pkg="${target%%:*}"
         fuzz="${target##*:}"
         if ! go test "$pkg" -fuzz="$fuzz" -fuzztime="$fuzztime"; then
