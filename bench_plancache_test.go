@@ -23,9 +23,10 @@ const seedVarySpec = `{"kind":"corpus","machine":"perlmutter-numa","count":30,"s
 	`"template":{"width":5,"depth":3,"payload":"512 MB"}}`
 
 // runSeedVary drives one fresh-seeded sweep per iteration through the
-// handler. Seeds start high so the timed loop never collides with the
-// priming request's response-cache entry.
-func runSeedVary(b *testing.B, cfg serve.Config) {
+// handler at path (buffered /v1/sweep or streamed /v1/sweep/stream). Seeds
+// start high so the timed loop never collides with the priming request's
+// response-cache entry.
+func runSeedVary(b *testing.B, cfg serve.Config, path string) {
 	s := serve.New(cfg)
 	h := s.Handler()
 	prime(b, h, "POST", "/v1/sweep", fmt.Sprintf(seedVarySpec, 1))
@@ -33,7 +34,7 @@ func runSeedVary(b *testing.B, cfg serve.Config) {
 	b.ResetTimer()
 	w := &discardResponseWriter{h: make(map[string][]string, 8)}
 	for i := 0; i < b.N; i++ {
-		br := newBenchRequest("POST", "/v1/sweep", fmt.Sprintf(seedVarySpec, 1000+i))
+		br := newBenchRequest("POST", path, fmt.Sprintf(seedVarySpec, 1000+i))
 		br.do(b, h, w)
 	}
 }
@@ -42,7 +43,7 @@ func runSeedVary(b *testing.B, cfg serve.Config) {
 // plan cache at its default size: every request misses the response cache,
 // but after the priming request all corpus scenarios are plan-cache hits.
 func BenchmarkServe_SweepSeedVaryCold(b *testing.B) {
-	runSeedVary(b, serve.Config{})
+	runSeedVary(b, serve.Config{}, "/v1/sweep")
 }
 
 // BenchmarkServe_SweepSeedVaryNoPlanCache is the baseline: identical
@@ -50,5 +51,13 @@ func BenchmarkServe_SweepSeedVaryCold(b *testing.B) {
 // generation, model build, and analysis. The Cold/NoPlanCache ratio is the
 // cache's win, gated at >= 3x in scripts/bench.sh.
 func BenchmarkServe_SweepSeedVaryNoPlanCache(b *testing.B) {
-	runSeedVary(b, serve.Config{PlanCacheEntries: -1})
+	runSeedVary(b, serve.Config{PlanCacheEntries: -1}, "/v1/sweep")
+}
+
+// BenchmarkServe_SweepCorpusStream is the scan workload's corpus request
+// in-process: the seed-vary corpus, streamed over NDJSON, so every request
+// misses the response cache, hits the plan cache for every scenario and
+// pays keying, aggregation and response rendering.
+func BenchmarkServe_SweepCorpusStream(b *testing.B) {
+	runSeedVary(b, serve.Config{}, "/v1/sweep/stream")
 }

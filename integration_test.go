@@ -86,15 +86,27 @@ func TestPipelineFromJSON(t *testing.T) {
 	}
 }
 
+// paperCases builds the paper's seven case studies in presentation order:
+// LCLS on Cori and Perlmutter, BerkeleyGW at 64 and 1024 nodes per task,
+// CosmoFlow at 12 instances, and GPTune in RCI and spawn mode.
+func paperCases(tb testing.TB) []*workloads.CaseStudy {
+	tb.Helper()
+	var out []*workloads.CaseStudy
+	for _, name := range []string{"lcls-cori", "lcls-pm", "bgw-64", "bgw-1024", "cosmoflow", "gptune-rci", "gptune-spawn"} {
+		cs, err := workloads.ByName(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, cs)
+	}
+	return out
+}
+
 // Simulation -> model consistency: for every case study the simulated point
 // never exceeds its model bound (at matching parallelism), and the
 // simulated makespan is never shorter than the bound-implied minimum.
 func TestSimulationRespectsModelBound(t *testing.T) {
-	all, err := workloads.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range all {
+	for _, cs := range paperCases(t) {
 		res, err := cs.Simulate()
 		if err != nil {
 			t.Fatalf("%s: %v", cs.Name, err)
@@ -125,11 +137,7 @@ func TestSimulationRespectsModelBound(t *testing.T) {
 
 // Simulation -> Gantt -> SVG for every case study.
 func TestSimulationToGanttSVG(t *testing.T) {
-	all, err := workloads.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range all {
+	for _, cs := range paperCases(t) {
 		res, err := cs.Simulate()
 		if err != nil {
 			t.Fatalf("%s: %v", cs.Name, err)

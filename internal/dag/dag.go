@@ -429,20 +429,3 @@ func Chain(ids ...string) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// FanIn builds sources s1..sn all feeding a single sink, the LCLS skeleton
-// shape (A..E -> F).
-func FanIn(sink string, sources ...string) (*Graph, error) {
-	g := New()
-	for _, s := range sources {
-		if err := g.AddEdge(s, sink); err != nil {
-			return nil, err
-		}
-	}
-	if len(sources) == 0 {
-		if err := g.AddNode(sink); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}

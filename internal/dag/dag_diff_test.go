@@ -191,10 +191,7 @@ func sameGraph(t *testing.T, seed int64, g *Graph, ref *refGraph) bool {
 // different paths from call to call (and the Gantt critical-path marking
 // moved with it). Ties now go to the earliest-inserted vertex.
 func TestCriticalPathDeterministic(t *testing.T) {
-	g, err := FanIn("F", "A", "B", "C", "D", "E")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := lclsSkeleton(t)
 	w := map[string]float64{"A": 1, "B": 1, "C": 1, "D": 1, "E": 1, "F": 1}
 	for i := 0; i < 200; i++ {
 		path, total, err := g.CriticalPath(w)

@@ -19,7 +19,9 @@ import (
 
 // TaskBoundSeconds returns the roofline lower bound for one task: the
 // maximum over its work components of time-at-peak (the slowest single
-// resource bounds the task, all else can overlap in the best case).
+// resource bounds the task, all else can overlap in the best case). Memory
+// moves at the partition's effective (NUMA-aware) bandwidth, the peak the
+// roofline model and the simulator use.
 func TaskBoundSeconds(m *machine.Machine, partition string, t *workflow.Task) (float64, error) {
 	part, err := m.Partition(partition)
 	if err != nil {
@@ -41,7 +43,7 @@ func TaskBoundSeconds(m *machine.Machine, partition string, t *workflow.Task) (f
 		}
 	}
 	if t.Work.MemBytes > 0 {
-		if err := consider(units.TimeToMove(t.Work.MemBytes, part.NodeMemBW), "memory"); err != nil {
+		if err := consider(units.TimeToMove(t.Work.MemBytes, part.EffectiveMemBW()), "memory"); err != nil {
 			return 0, err
 		}
 	}

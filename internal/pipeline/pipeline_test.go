@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wroofline/internal/core"
 	"wroofline/internal/machine"
 	"wroofline/internal/units"
 	"wroofline/internal/workflow"
@@ -33,6 +34,42 @@ func TestTaskBoundSecondsMaxRule(t *testing.T) {
 	}
 	if !almost(b, 1, 1e-9) {
 		t.Errorf("bound = %v, want 1 (max component)", b)
+	}
+}
+
+// TestTaskBoundSecondsNUMAMemory pins a memory task's bound on a NUMA
+// partition to the roofline model's memory ceiling: both move the bytes at
+// the partition's effective bandwidth, not the flat node aggregate.
+func TestTaskBoundSecondsNUMAMemory(t *testing.T) {
+	m := machine.PerlmutterNUMA()
+	task := &workflow.Task{ID: "mem", Nodes: 1, Work: workflow.Work{MemBytes: 100 * units.GB}}
+	b, err := TaskBoundSeconds(m, machine.PartCPU, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf := workflow.New("numa-mem", machine.PartCPU)
+	if err := wf.AddTask(task); err != nil {
+		t.Fatal(err)
+	}
+	model, err := core.Build(m, wf, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := math.NaN()
+	for _, c := range model.Ceilings {
+		if c.Resource == core.ResMemory {
+			ceiling = c.TimePerTask
+		}
+	}
+	if !almost(b, ceiling, 1e-9) {
+		t.Errorf("bound = %v s, core memory ceiling = %v s", b, ceiling)
+	}
+	part, err := m.Partition(machine.PartCPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat := units.TimeToMove(task.Work.MemBytes, part.NodeMemBW); almost(b, flat, 1e-3) {
+		t.Errorf("bound = %v s is the flat node-bandwidth time; the NUMA machine must be slower", b)
 	}
 }
 

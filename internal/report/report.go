@@ -22,13 +22,6 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, headers: headers}
 }
 
-// Headers returns a copy of the column headers.
-func (t *Table) Headers() []string {
-	out := make([]string, len(t.headers))
-	copy(out, t.headers)
-	return out
-}
-
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

@@ -120,10 +120,12 @@ func TestNum(t *testing.T) {
 
 func TestHeaders(t *testing.T) {
 	tb := sample(t)
-	h := tb.Headers()
-	h[0] = "mutated"
-	if tb.Headers()[0] != "Scenario" {
-		t.Error("Headers must return a copy")
+	data, err := tb.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"headers":["Scenario","Loading (s)","Analysis (s)"]`) {
+		t.Errorf("headers not encoded in order: %s", data)
 	}
 	if tb.NumRows() != 2 {
 		t.Errorf("NumRows = %d", tb.NumRows())

@@ -910,8 +910,10 @@ type modelAnalysis struct {
 	Failure *failure.Analysis `json:"failure"`
 }
 
-// SweepResponse is the /v1/sweep body: the study's report tables in print
-// order, in the canonical table JSON of internal/report.
+// SweepResponse is the schema of the /v1/sweep body: the study's report
+// tables in print order, in the canonical table JSON of internal/report.
+// runSweep appends the body directly (see renderSweep); clients decode it
+// with this type.
 type SweepResponse struct {
 	Kind   string          `json:"kind"`
 	Tables []*report.Table `json:"tables"`
@@ -981,11 +983,33 @@ func (s *Server) runSweep(ctx context.Context, spec *study.Spec, emit func(study
 	if err != nil {
 		return Response{}, err
 	}
-	data, err := json.Marshal(SweepResponse{Kind: spec.Kind, Tables: tables})
-	if err != nil {
-		return Response{}, err
+	return Response{Body: renderSweep(spec.Kind, tables), ContentType: "application/json"}, nil
+}
+
+// renderSweep appends a sweep's body, {"kind":...,"tables":[...]} and a
+// newline, into one buffer allocated at exactly the body's length: the
+// response cache keeps the body, so spare capacity would stay live with it.
+// The bytes are those encoding/json writes for a SweepResponse. The kind is
+// a study kind name, plain ASCII, so it encodes at its length plus quotes.
+func renderSweep(kind string, tables []*report.Table) []byte {
+	n := len(`{"kind":"","tables":[]}`+"\n") + len(kind)
+	for i, t := range tables {
+		if i > 0 {
+			n++
+		}
+		n += t.JSONLen()
 	}
-	return Response{Body: append(data, '\n'), ContentType: "application/json"}, nil
+	b := make([]byte, 0, n)
+	b = append(b, `{"kind":`...)
+	b = report.AppendString(b, kind)
+	b = append(b, `,"tables":[`...)
+	for i, t := range tables {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = t.AppendJSON(b)
+	}
+	return append(b, ']', '}', '\n')
 }
 
 // handleFigure renders one paper figure as SVG. The catalog's name list is

@@ -38,7 +38,7 @@ func TestCorpusStudyDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("per-family table title = %q", one[0].Title)
 	}
 	// All five families cycle through 1000 scenarios: 200 each.
-	if got, want := len(one[0].Rows()), len(wfgen.Families()); got != want {
+	if got, want := one[0].NumRows(), len(wfgen.Families()); got != want {
 		t.Errorf("per-family table has %d rows, want %d", got, want)
 	}
 }
@@ -144,5 +144,42 @@ func TestCorpusExampleRoundTrips(t *testing.T) {
 	spec.Count = 25
 	if _, err := RunStreamCached(context.Background(), spec, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorpusTemplateErrorOrder pins which error a bad corpus template
+// reports now that only family 0 checks the work quantities: the first
+// family whose full Validate fails, in the request's family order.
+func TestCorpusTemplateErrorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		families []string
+		tmpl     wfgen.Spec
+	}{
+		{[]string{"chain", "montage"}, wfgen.Spec{Width: 1, Flops: "5 parsecs"}},
+		{[]string{"montage", "chain"}, wfgen.Spec{Width: 1, Flops: "5 parsecs"}},
+		{[]string{"chain", "montage"}, wfgen.Spec{Width: 1}},
+		{[]string{"fanout", "butterfly"}, wfgen.Spec{Payload: "2 furlongs"}},
+		{[]string{"fanout", "butterfly"}, wfgen.Spec{}},
+		{[]string{"chain", "scatter"}, wfgen.Spec{Depth: 19, FS: "1 XB"}},
+		{nil, wfgen.Spec{Mem: "lots"}},
+	} {
+		families := tc.families
+		if families == nil {
+			families = wfgen.Families()
+		}
+		var want error
+		for _, fam := range families {
+			s := tc.tmpl
+			s.Family = fam
+			if want = s.Validate(); want != nil {
+				break
+			}
+		}
+		tmpl := tc.tmpl
+		_, err := RunStreamCached(context.Background(), &Spec{Kind: "corpus", Machine: "perlmutter",
+			Count: 4, Families: tc.families, Template: &tmpl}, nil, nil)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("families %v template %+v: err %v, want %v", tc.families, tc.tmpl, err, want)
+		}
 	}
 }

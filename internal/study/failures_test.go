@@ -35,6 +35,20 @@ func renderTables(t *testing.T, tables []*report.Table) string {
 	return string(data)
 }
 
+// tableRows decodes a table's data rows from its canonical JSON.
+func tableRows(t *testing.T, tbl *report.Table) [][]string {
+	t.Helper()
+	data, err := tbl.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct{ Rows [][]string }
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	return decoded.Rows
+}
+
 func TestFailuresStudyDeterministicAcrossWorkers(t *testing.T) {
 	one, err := RunStreamCached(context.Background(), failuresSpec(1), nil, nil)
 	if err != nil {
@@ -186,13 +200,13 @@ func TestFailuresUnfinishedBin(t *testing.T) {
 	if !strings.Contains(got, fmt.Sprintf(`["unfinished","%d"]`, want)) {
 		t.Errorf("histogram lacks the unfinished bin of %d: %s", want, got)
 	}
-	if n := tables[0].Rows()[0][0]; n != fmt.Sprint(spec.Trials-want) {
+	if n := tableRows(t, tables[0])[0][0]; n != fmt.Sprint(spec.Trials-want) {
 		t.Errorf("makespan table n = %s, want %d finished trials", n, spec.Trials-want)
 	}
 	// Every trial is in exactly one bin, and the bins keep the histogram's
 	// order: count descending, then label.
 	runs, prev := 0, sweep.HistBin{Count: spec.Trials + 1}
-	for _, row := range tables[3].Rows() {
+	for _, row := range tableRows(t, tables[3]) {
 		bin := sweep.HistBin{Label: row[0]}
 		fmt.Sscan(row[1], &bin.Count)
 		if bin.Count > prev.Count || bin.Count == prev.Count && bin.Label < prev.Label {

@@ -715,9 +715,12 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 		tmpl = *spec.Template
 	}
 	// Validate one representative spec per family up front so template errors
-	// surface once, not Count times from inside the pool. With CV <= 0 the
-	// seed never enters a scenario key, so each family's key is hashed here
-	// once instead of once per scenario.
+	// surface once, not Count times from inside the pool. The work
+	// quantities are the template's own, the same for every family, so only
+	// family 0 checks them: the first failing family still reports the
+	// error a full check would. With CV <= 0 the seed never enters a
+	// scenario key, so each family's key is hashed here once instead of once
+	// per scenario.
 	var famKeys []plancache.Key
 	if plans != nil && tmpl.CV <= 0 {
 		famKeys = make([]plancache.Key, len(families))
@@ -725,7 +728,12 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 	for f, fam := range families {
 		s := tmpl
 		s.Family = fam
-		if err := s.Validate(); err != nil {
+		if f == 0 {
+			err = s.Validate()
+		} else {
+			err = s.ValidateShape()
+		}
+		if err != nil {
 			return nil, err
 		}
 		if famKeys != nil {

@@ -33,7 +33,7 @@ func TestSurveyCoversTheGrid(t *testing.T) {
 		"map-reduce":     func(w, d int) int { return d * (w + 1) },
 		"scatter-gather": func(_, d int) int { return 3<<d - 2 },
 	}
-	rows := tables[0].Rows()
+	rows := tableRows(t, tables[0])
 	if len(rows) != len(surveyShapes)*len(widths)*len(depths) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -53,7 +53,7 @@ func TestSurveyCoversTheGrid(t *testing.T) {
 			}
 		}
 	}
-	if hist := tables[1].Rows(); len(hist) != 1 || hist[0][1] != fmt.Sprint(len(rows)) {
+	if hist := tableRows(t, tables[1]); len(hist) != 1 || hist[0][1] != fmt.Sprint(len(rows)) {
 		t.Errorf("ceiling histogram = %v, want one ceiling over %d shapes", hist, len(rows))
 	}
 }
@@ -133,7 +133,7 @@ func TestSurveyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scatter-gather depth 18: %v", err)
 	}
-	if rows := tables[0].Rows(); rows[len(rows)-1][3] != fmt.Sprint(3<<18-2) {
+	if rows := tableRows(t, tables[0]); rows[len(rows)-1][3] != fmt.Sprint(3<<18-2) {
 		t.Errorf("scatter-gather depth 18 row = %v, want %d tasks", rows[len(rows)-1], 3<<18-2)
 	}
 

@@ -129,10 +129,28 @@ func (s *Spec) normalized() Spec {
 	return n
 }
 
-// Validate checks the spec against the family's structural requirements and
-// the work-quantity grammar.
+// Validate checks the spec against the family's structural requirements
+// (ValidateShape) and the work-quantity grammar.
 func (s *Spec) Validate() error {
 	n := s.normalized()
+	if err := n.validateShape(); err != nil {
+		return err
+	}
+	return n.validateQuantities()
+}
+
+// ValidateShape checks everything Validate does except the work quantities
+// (flops, mem, net, fs, payload). Specs that differ only in family, width or
+// depth, such as a corpus template's families, share their quantities, so
+// one full Validate and a ValidateShape for each of the others check them
+// all.
+func (s *Spec) ValidateShape() error {
+	n := s.normalized()
+	return n.validateShape()
+}
+
+// validateShape is ValidateShape on an already-normalized spec.
+func (n *Spec) validateShape() error {
 	// Bound width and depth individually BEFORE the closed-form shape
 	// arithmetic: products like w*d can wrap around int64 for absurd inputs,
 	// sneaking a tiny (or negative) task count past the cap below while
@@ -159,6 +177,11 @@ func (s *Spec) Validate() error {
 	if shape.Tasks > MaxTasks {
 		return fmt.Errorf("wfgen: spec generates %d tasks, cap is %d", shape.Tasks, MaxTasks)
 	}
+	return nil
+}
+
+// validateQuantities checks a normalized spec's work-quantity grammar.
+func (n *Spec) validateQuantities() error {
 	if _, err := units.ParseFlops(n.Flops); err != nil {
 		return fmt.Errorf("wfgen: flops: %w", err)
 	}

@@ -239,3 +239,37 @@ func TestTaskIDMatchesSprintf(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestValidateSplit pins the split of Validate: a shape error is Validate's
+// error, and once the shape passes the remaining error comes from the work
+// quantities alone, so it is the same for every family, width and depth.
+func TestValidateSplit(t *testing.T) {
+	quantities := []Spec{
+		{}, {Flops: "5 parsecs"}, {Mem: "lots"}, {Net: "-"}, {FS: "1 XB"},
+		{Payload: "2 furlongs"}, {Flops: "0", Mem: "0", Net: "0", FS: "0", Payload: "0"},
+	}
+	shapes := []Spec{
+		{Family: "chain"}, {Family: "montage", Width: 1}, {Family: "butterfly"},
+		{Family: "fanout", Width: -2}, {Family: "scatter", Depth: 19},
+		{Family: "epigenomics", Width: 7, Depth: 2}, {Family: "bag", NodesPerTask: -1},
+		{Family: "diamond", CV: 9},
+	}
+	want := map[int]string{} // quantity case -> error once the shape passes
+	for qi, q := range quantities {
+		for _, sh := range shapes {
+			s := q
+			s.Family, s.Width, s.Depth, s.NodesPerTask, s.CV = sh.Family, sh.Width, sh.Depth, sh.NodesPerTask, sh.CV
+			full, shape := fmt.Sprint(s.Validate()), s.ValidateShape()
+			if shape != nil {
+				if full != shape.Error() {
+					t.Errorf("%+v: Validate %q, ValidateShape %q", s, full, shape)
+				}
+				continue
+			}
+			if prev, ok := want[qi]; ok && prev != full {
+				t.Errorf("%+v: Validate %q depends on the shape (another shape gave %q)", s, full, prev)
+			}
+			want[qi] = full
+		}
+	}
+}

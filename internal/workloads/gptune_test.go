@@ -205,34 +205,24 @@ func TestGPTuneModeString(t *testing.T) {
 	}
 }
 
-func TestTableI(t *testing.T) {
-	rows := TableI()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+// paperCases builds the paper's seven case studies in presentation order:
+// LCLS on Cori and Perlmutter, BerkeleyGW at 64 and 1024 nodes per task,
+// CosmoFlow at 12 instances, and GPTune in RCI and spawn mode.
+func paperCases(t *testing.T) []*CaseStudy {
+	t.Helper()
+	var out []*CaseStudy
+	for _, name := range []string{"lcls-cori", "lcls-pm", "bgw-64", "bgw-1024", "cosmoflow", "gptune-rci", "gptune-spawn"} {
+		cs, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cs)
 	}
-	byName := map[string]TableIRow{}
-	for _, r := range rows {
-		byName[r.Workflow] = r
-	}
-	if byName["LCLS"].WallClockTime != MethodReported {
-		t.Error("LCLS wall clock is reported")
-	}
-	if byName["BerkeleyGW"].NodeFlops != MethodReported {
-		t.Error("BGW node flops are reported")
-	}
-	if byName["CosmoFlow"].NodePCIeBytes != MethodAnalytical {
-		t.Error("CosmoFlow PCIe bytes are analytical")
-	}
-	if byName["GPTune"].FSBytes != MethodMeasured {
-		t.Error("GPTune FS bytes are measured")
-	}
+	return out
 }
 
 func TestAll(t *testing.T) {
-	all, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := paperCases(t)
 	if len(all) != 7 {
 		t.Fatalf("case studies = %d, want 7", len(all))
 	}

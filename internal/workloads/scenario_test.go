@@ -125,11 +125,7 @@ func TestLCLSGanttShape(t *testing.T) {
 // All case studies render to SVG with points without error — the wfplot
 // path exercised at the library level.
 func TestAllCaseStudiesRender(t *testing.T) {
-	all, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range all {
+	for _, cs := range paperCases(t) {
 		svg, err := plot.RooflineSVG(cs.Model, cs.Points, plot.Options{ShowZones: true})
 		if err != nil {
 			t.Errorf("%s: %v", cs.Name, err)

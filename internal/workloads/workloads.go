@@ -61,91 +61,3 @@ func (c *CaseStudy) Compile() (*sim.Plan, error) {
 	}
 	return sim.Compile(c.Workflow, c.Programs, c.SimConfig)
 }
-
-// CharacterizationMethod records how a metric was obtained for Table I.
-type CharacterizationMethod string
-
-// Methods appearing in Table I.
-const (
-	MethodReported   CharacterizationMethod = "reported"
-	MethodMeasured   CharacterizationMethod = "Measured"
-	MethodAnalytical CharacterizationMethod = "Analytical model"
-	MethodNA         CharacterizationMethod = "NA"
-)
-
-// TableIRow is one column of the paper's Table I (one workflow's methods).
-type TableIRow struct {
-	Workflow      string
-	WallClockTime CharacterizationMethod
-	NodeFlops     CharacterizationMethod
-	CPUGPUBytes   CharacterizationMethod
-	NodePCIeBytes CharacterizationMethod
-	NetworkBytes  CharacterizationMethod
-	FSBytes       CharacterizationMethod
-}
-
-// TableI returns the paper's Table I: how each node- and system-performance
-// metric was characterized per workflow.
-func TableI() []TableIRow {
-	return []TableIRow{
-		{
-			Workflow:      "LCLS",
-			WallClockTime: MethodReported,
-			NodeFlops:     MethodNA,
-			CPUGPUBytes:   MethodAnalytical,
-			NodePCIeBytes: MethodNA,
-			NetworkBytes:  MethodNA,
-			FSBytes:       MethodAnalytical,
-		},
-		{
-			Workflow:      "BerkeleyGW",
-			WallClockTime: MethodMeasured,
-			NodeFlops:     MethodReported,
-			CPUGPUBytes:   MethodReported,
-			NodePCIeBytes: MethodNA,
-			NetworkBytes:  MethodReported,
-			FSBytes:       MethodReported,
-		},
-		{
-			Workflow:      "CosmoFlow",
-			WallClockTime: MethodMeasured,
-			NodeFlops:     MethodNA,
-			CPUGPUBytes:   MethodMeasured,
-			NodePCIeBytes: MethodAnalytical,
-			NetworkBytes:  MethodNA,
-			FSBytes:       MethodAnalytical,
-		},
-		{
-			Workflow:      "GPTune",
-			WallClockTime: MethodMeasured,
-			NodeFlops:     MethodNA,
-			CPUGPUBytes:   MethodMeasured,
-			NodePCIeBytes: MethodNA,
-			NetworkBytes:  MethodNA,
-			FSBytes:       MethodMeasured,
-		},
-	}
-}
-
-// All returns every case study in the paper's presentation order. Each call
-// builds fresh instances so callers may mutate them freely.
-func All() ([]*CaseStudy, error) {
-	var out []*CaseStudy
-	builders := []func() (*CaseStudy, error){
-		LCLSCori,
-		LCLSPerlmutter,
-		func() (*CaseStudy, error) { return BGW(64) },
-		func() (*CaseStudy, error) { return BGW(1024) },
-		func() (*CaseStudy, error) { return CosmoFlow(12) },
-		func() (*CaseStudy, error) { return GPTune(GPTuneRCI) },
-		func() (*CaseStudy, error) { return GPTune(GPTuneSpawn) },
-	}
-	for _, b := range builders {
-		cs, err := b()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cs)
-	}
-	return out, nil
-}

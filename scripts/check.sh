@@ -73,6 +73,22 @@ else
     fail=1
 fi
 
+# The encoder wall is the correctness proof for the direct table encoder:
+# AppendJSON must write exactly what encoding/json writes for the old
+# reflection struct on any strings (HTML escapes, U+2028/U+2029, invalid
+# UTF-8, control bytes, empty header and row sets), the /v1/sweep buffered
+# body and final stream line must match their goldens for every study
+# kind, and rendering a sweep body must cost one allocation. The
+# allocation floor runs without -race, which allocates on its own.
+echo "== encoder wall =="
+if go test -race ./internal/report -count=1 &&
+   go test -race ./internal/serve -run 'TestSweepBodyGolden' -count=1 &&
+   go test ./internal/serve -run 'TestRenderSweepAllocs' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The failure exhaustion wall: a trial whose task uses up its attempts
 # surfaces from RunBatch as an indexed, resumable error, and a failure
 # ensemble reports it in an "unfinished" bin (buffered and streamed alike)
@@ -220,7 +236,7 @@ if [ "${1:-}" = "-fuzz" ]; then
                   ./internal/machine:FuzzParse ./internal/failure:FuzzParse \
                   ./internal/wfgen:FuzzWfgenSpec ./internal/sim:FuzzBatchPlan \
                   ./internal/study:FuzzCorpusLane ./internal/engine:FuzzEngine \
-                  ./internal/sim:FuzzSimMakespanBound; do
+                  ./internal/sim:FuzzSimMakespanBound ./internal/report:FuzzTableJSON; do
         pkg="${target%%:*}"
         fuzz="${target##*:}"
         if ! go test "$pkg" -fuzz="$fuzz" -fuzztime="$fuzztime"; then
