@@ -30,7 +30,6 @@ import (
 	"wroofline/internal/pipeline"
 	"wroofline/internal/plancache"
 	"wroofline/internal/plot"
-	"wroofline/internal/sched"
 	"wroofline/internal/serve"
 	"wroofline/internal/sim"
 	"wroofline/internal/study"
@@ -329,34 +328,6 @@ func BenchmarkAblation_FairShareVsExclusive(b *testing.B) {
 	}
 	b.ReportMetric(fair, "fair-makespan-s")
 	b.ReportMetric(exclusive, "exclusive-makespan-s")
-}
-
-// Ablation: FIFO vs EASY backfill on a mixed-width job set at the
-// parallelism wall.
-func BenchmarkAblation_FIFOVsBackfill(b *testing.B) {
-	jobs := []sched.Job{
-		{ID: "wide0", Nodes: 1024, Duration: 100, Submit: 0},
-		{ID: "wide1", Nodes: 1536, Duration: 100, Submit: 1},
-	}
-	for i := 0; i < 24; i++ {
-		jobs = append(jobs, sched.Job{
-			ID: fmt.Sprintf("narrow%02d", i), Nodes: 64, Duration: 40, Submit: 2,
-		})
-	}
-	var fifo, easy float64
-	for i := 0; i < b.N; i++ {
-		rf, err := sched.Simulate(jobs, 1792, sched.FIFO)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := sched.Simulate(jobs, 1792, sched.Backfill)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fifo, easy = rf.Makespan, rb.Makespan
-	}
-	b.ReportMetric(fifo, "fifo-makespan-s")
-	b.ReportMetric(easy, "backfill-makespan-s")
 }
 
 // Ablation: intra-task parallelism rescaling (Fig 2c) — doubling nodes per

@@ -25,6 +25,21 @@ type flightShard[V any] struct {
 	_     [88]byte
 }
 
+// Role reports how a Do caller took part in its call.
+type Role uint8
+
+const (
+	// Alone: the caller ran the computation and no waiter received its
+	// result, so the caller owns the value outright and may recycle what it
+	// holds once done with it.
+	Alone Role = iota
+	// Leader: the caller ran the computation and at least one waiter shares
+	// the value.
+	Leader
+	// Waiter: the caller rode another caller's computation.
+	Waiter
+)
+
 // flightCall is one in-progress computation.
 type flightCall[V any] struct {
 	done    chan struct{}
@@ -51,15 +66,21 @@ func (g *Flight[V]) shard(k Key) *flightShard[V] {
 
 // Do runs fn for the key, unless a call for the same key is already in
 // flight, in which case it waits for that call and shares its result.
-// shared reports whether this caller rode an existing flight. Errors are
-// shared too: N identical failing requests cost one failed computation.
+// role reports whether this caller rode an existing flight (Waiter) or ran
+// fn, and then whether any waiter shares the value (Leader) or none does
+// (Alone). Errors are shared too: N identical failing requests cost one
+// failed computation.
+//
+// Alone is decided under the shard lock as the call leaves the table: no
+// later arrival can join it, and a waiter that gave up before then never
+// reads the value, so an Alone leader holds the only reference to it.
 //
 // ctx covers only the wait: a waiter whose client hangs up returns
 // ctx.Err() immediately instead of staying pinned to its goroutine for the
 // leader's full budget. The flight itself keeps running — the leader is
 // detached from any one client, so the survivors (and any cache the leader
 // fills) still get the result.
-func (g *Flight[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (v V, err error, shared bool) {
+func (g *Flight[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (v V, err error, role Role) {
 	sh := g.shard(k)
 	sh.mu.Lock()
 	if c, ok := sh.calls[k]; ok {
@@ -67,13 +88,13 @@ func (g *Flight[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (v V, e
 		sh.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.val, c.err, true
+			return c.val, c.err, Waiter
 		case <-ctx.Done():
 			sh.mu.Lock()
 			c.waiters--
 			sh.mu.Unlock()
 			var zero V
-			return zero, ctx.Err(), true
+			return zero, ctx.Err(), Waiter
 		}
 	}
 	c := &flightCall[V]{done: make(chan struct{})}
@@ -83,9 +104,13 @@ func (g *Flight[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (v V, e
 	c.val, c.err = fn()
 	sh.mu.Lock()
 	delete(sh.calls, k)
+	role = Alone
+	if c.waiters > 0 {
+		role = Leader
+	}
 	sh.mu.Unlock()
 	close(c.done)
-	return c.val, c.err, false
+	return c.val, c.err, role
 }
 
 // Waiting reports how many callers are parked on the key's in-flight call

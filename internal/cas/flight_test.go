@@ -25,14 +25,14 @@ func TestFlightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, shared := g.Do(context.Background(), key, func() (string, error) {
+		v, err, role := g.Do(context.Background(), key, func() (string, error) {
 			evals++
 			close(started)
 			<-release
 			return "result", nil
 		})
-		if err != nil || shared {
-			t.Errorf("leader: err=%v shared=%v", err, shared)
+		if err != nil || role != Leader {
+			t.Errorf("leader: err=%v role=%v, want Leader", err, role)
 		}
 		leaderDone <- v
 	}()
@@ -43,12 +43,12 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.Do(context.Background(), key, func() (string, error) {
+			v, err, role := g.Do(context.Background(), key, func() (string, error) {
 				t.Error("follower ran the computation")
 				return "", nil
 			})
-			if err != nil || !shared {
-				t.Errorf("follower: err=%v shared=%v", err, shared)
+			if err != nil || role != Waiter {
+				t.Errorf("follower: err=%v role=%v, want Waiter", err, role)
 			}
 			results <- v
 		}()
@@ -83,9 +83,9 @@ func TestFlightSharesErrors(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	// The failed call must not wedge the key: a retry runs fresh.
-	v, err, shared := g.Do(context.Background(), key, func() (string, error) { return "ok", nil })
-	if err != nil || shared || v != "ok" {
-		t.Errorf("retry after error: v=%q err=%v shared=%v", v, err, shared)
+	v, err, role := g.Do(context.Background(), key, func() (string, error) { return "ok", nil })
+	if err != nil || role != Alone || v != "ok" {
+		t.Errorf("retry after error: v=%q err=%v role=%v", v, err, role)
 	}
 }
 
@@ -102,13 +102,13 @@ func TestFlightWaiterCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, shared := g.Do(context.Background(), key, func() (string, error) {
+		v, err, role := g.Do(context.Background(), key, func() (string, error) {
 			close(started)
 			<-release
 			return "result", nil
 		})
-		if err != nil || shared || v != "result" {
-			t.Errorf("leader: v=%q err=%v shared=%v", v, err, shared)
+		if err != nil || role != Leader || v != "result" {
+			t.Errorf("leader: v=%q err=%v role=%v, want Leader (a survivor rides)", v, err, role)
 		}
 	}()
 	<-started
@@ -118,12 +118,12 @@ func TestFlightWaiterCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err, shared := g.Do(ctx, key, func() (string, error) {
+		_, err, role := g.Do(ctx, key, func() (string, error) {
 			t.Error("waiter ran the computation")
 			return "", nil
 		})
-		if !shared {
-			t.Error("cancelled waiter reported shared=false")
+		if role != Waiter {
+			t.Errorf("cancelled waiter reported role %v, want Waiter", role)
 		}
 		waiterDone <- err
 	}()
@@ -149,12 +149,12 @@ func TestFlightWaiterCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, shared := g.Do(context.Background(), key, func() (string, error) {
+		v, err, role := g.Do(context.Background(), key, func() (string, error) {
 			t.Error("survivor ran the computation")
 			return "", nil
 		})
-		if err != nil || !shared {
-			t.Errorf("survivor: err=%v shared=%v", err, shared)
+		if err != nil || role != Waiter {
+			t.Errorf("survivor: err=%v role=%v, want Waiter", err, role)
 		}
 		survivor <- v
 	}()
@@ -201,4 +201,118 @@ func TestFlightShardedStress(t *testing.T) {
 			t.Errorf("key %d evaluated %d times over 4 rounds", i, n)
 		}
 	}
+}
+
+// TestFlightExclusivity pins the leader's exclusivity report, which the
+// gate relies on to recycle a result's buffers: a leader is Alone only when
+// no waiter can still read its value — it ran with nobody attached, or
+// every waiter gave up before the call left the table — and Leader as soon
+// as one waiter is attached at completion.
+func TestFlightExclusivity(t *testing.T) {
+	// lead starts a leader on key that blocks until release closes, and
+	// returns the channel its role arrives on.
+	lead := func(g *Flight[string], key Key, release chan struct{}) <-chan Role {
+		started := make(chan struct{})
+		out := make(chan Role, 1)
+		go func() {
+			_, _, role := g.Do(context.Background(), key, func() (string, error) {
+				close(started)
+				<-release
+				return "v", nil
+			})
+			out <- role
+		}()
+		<-started
+		return out
+	}
+	// wait parks a waiter on key under ctx and returns its result channel.
+	wait := func(g *Flight[string], key Key, ctx context.Context) <-chan error {
+		out := make(chan error, 1)
+		go func() {
+			v, err, role := g.Do(ctx, key, func() (string, error) {
+				t.Error("waiter ran the computation")
+				return "", nil
+			})
+			if role != Waiter {
+				t.Errorf("waiter role = %v, want Waiter", role)
+			}
+			if err == nil && v != "v" {
+				t.Errorf("waiter value = %q, want the leader's", v)
+			}
+			out <- err
+		}()
+		return out
+	}
+
+	t.Run("alone", func(t *testing.T) {
+		g := NewFlight[string](16)
+		release := make(chan struct{})
+		role := lead(g, keyOf("alone"), release)
+		close(release)
+		if got := <-role; got != Alone {
+			t.Errorf("leader with no waiter: role %v, want Alone", got)
+		}
+	})
+
+	t.Run("waiter", func(t *testing.T) {
+		g := NewFlight[string](16)
+		key := keyOf("waiter")
+		release := make(chan struct{})
+		role := lead(g, key, release)
+		done := wait(g, key, context.Background())
+		for parked(g, key) < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		if got := <-role; got != Leader {
+			t.Errorf("leader with a waiter: role %v, want Leader", got)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("waiter err = %v", err)
+		}
+	})
+
+	t.Run("cancelled waiter", func(t *testing.T) {
+		g := NewFlight[string](16)
+		key := keyOf("cancelled")
+		release := make(chan struct{})
+		role := lead(g, key, release)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := wait(g, key, ctx)
+		for parked(g, key) < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-done; err != context.Canceled {
+			t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+		}
+		close(release)
+		if got := <-role; got != Alone {
+			t.Errorf("leader whose only waiter gave up: role %v, want Alone", got)
+		}
+	})
+
+	t.Run("attached at completion", func(t *testing.T) {
+		// The waiter's context is cancelled only after the leader has
+		// returned: it was attached when the call left the table, so
+		// whichever way its select goes, the leader must not be Alone.
+		for i := 0; i < 50; i++ {
+			g := NewFlight[string](16)
+			key := keyOf(fmt.Sprintf("attached-%d", i))
+			release := make(chan struct{})
+			role := lead(g, key, release)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := wait(g, key, ctx)
+			for parked(g, key) < 1 {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			got := <-role
+			cancel()
+			<-done
+			if got != Leader {
+				t.Fatalf("run %d: leader with a waiter attached at completion: role %v, want Leader", i, got)
+			}
+		}
+	})
 }

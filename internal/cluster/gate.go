@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,9 +100,21 @@ const (
 // incrementally.
 const maxPresizedBody = 4 << 20
 
+// maxPooledBody caps the upstream bodies the gate recycles. A hit on the
+// model, sweep or figure endpoints is a few KiB; a body past the cap is
+// allocated per fetch and left to the collector, so an idle pooled buffer
+// never pins more than twice the cap.
+const maxPooledBody = 64 << 10
+
+// bodyPool recycles upstream body buffers up to maxPooledBody. It holds
+// *[]byte so that a Put does not allocate.
+var bodyPool sync.Pool
+
 // backend is one replica's live state.
 type backend struct {
 	url string
+	// base is url parsed once, the root of every outbound request's target.
+	base url.URL
 	// up is the routing bit: probes and passive transport errors clear it,
 	// a successful probe sets it. Starts true — optimistic, corrected
 	// within one probe window or one failed request.
@@ -120,8 +134,11 @@ type backend struct {
 // drive per-tenant fairness and deadline propagation on the replica. A
 // coalesced flight forwards its first rider's headers.
 type upstreamRequest struct {
-	method   string
+	method string
+	// path is the client's decoded path; rawPath its escaped form when the
+	// client escaped it other than canonically (url.URL.RawPath).
 	path     string
+	rawPath  string
 	ctype    string
 	accept   string
 	tenant   string
@@ -134,6 +151,7 @@ func newUpstreamRequest(r *http.Request, body []byte) *upstreamRequest {
 	return &upstreamRequest{
 		method:   r.Method,
 		path:     r.URL.Path,
+		rawPath:  r.URL.RawPath,
 		ctype:    r.Header.Get("Content-Type"),
 		accept:   r.Header.Get("Accept"),
 		tenant:   r.Header.Get(serve.TenantHeader),
@@ -142,8 +160,42 @@ func newUpstreamRequest(r *http.Request, body []byte) *upstreamRequest {
 	}
 }
 
-// apply stamps the snapshot onto an outbound request.
-func (u *upstreamRequest) apply(req *http.Request) {
+// build makes the outbound request to one backend without formatting or
+// parsing a URL: the target is the backend's base URL, parsed once in New,
+// plus the client's already-decoded path. Setting the decoded path lets
+// RequestURI re-escape it, so a "%25", "%3F" or "%23" in a figure name
+// reaches the replica as the name the gate routed on. The fields are the
+// ones http.NewRequestWithContext sets (TestGateUpstreamRequestParity pins
+// them): the body stays a known in-memory reader, so the transport sends
+// it with the headers, and GetBody lets it retry on a stale keep-alive
+// connection. Building cannot fail, so no backend is ever marked down for
+// a request the gate could not express. ownerURL, when set, names the
+// key's primary owner so the handling replica can try a peer cache-fill
+// before evaluating locally.
+func (u *upstreamRequest) build(ctx context.Context, b *backend, ownerURL string) *http.Request {
+	target := b.base
+	target.Path += u.path
+	target.RawPath = ""
+	if u.rawPath != "" {
+		target.RawPath = b.base.EscapedPath() + u.rawPath
+	}
+	req := &http.Request{
+		Method:     u.method,
+		URL:        &target,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+		Body:       http.NoBody,
+		Host:       target.Host,
+	}
+	if body := u.body; len(body) > 0 {
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+	}
 	if u.ctype != "" {
 		req.Header.Set("Content-Type", u.ctype)
 	}
@@ -156,6 +208,10 @@ func (u *upstreamRequest) apply(req *http.Request) {
 	if u.deadline != "" {
 		req.Header.Set(serve.DeadlineHeader, u.deadline)
 	}
+	if ownerURL != "" {
+		req.Header.Set(serve.PeerOwnerHeader, ownerURL)
+	}
+	return req.WithContext(ctx)
 }
 
 // upstreamResult is one fetched response, shared across a flight's riders.
@@ -163,9 +219,12 @@ func (u *upstreamRequest) apply(req *http.Request) {
 // serve.Response.stampHeaders), so each rider's writeResult assigns
 // prebuilt value slices instead of canonicalizing keys and allocating.
 type upstreamResult struct {
-	status  int
-	etag    string
-	body    []byte
+	status int
+	etag   string
+	body   []byte
+	// buf is the pooled buffer under body, nil when the body was allocated
+	// for this fetch alone (see release).
+	buf     *[]byte
 	backend *backend
 	// header holds the first nheader replayed upstream headers, in
 	// canonical form; clen is the body's Content-Length value.
@@ -189,8 +248,8 @@ var replayedHeaders = [...]string{"Content-Type", "Etag", "X-Cache", "Retry-Afte
 // its replayed headers. The value slices share one backing array and are
 // capped at length one, so an append by any writer copies instead of
 // clobbering a neighbour.
-func newUpstreamResult(resp *http.Response, body []byte) *upstreamResult {
-	res := &upstreamResult{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}
+func newUpstreamResult(resp *http.Response, body []byte, buf *[]byte) *upstreamResult {
+	res := &upstreamResult{status: resp.StatusCode, body: body, buf: buf, etag: resp.Header.Get("ETag")}
 	vals := make([]string, len(replayedHeaders)+1)
 	for i, k := range replayedHeaders {
 		if v := resp.Header.Get(k); v != "" {
@@ -203,6 +262,18 @@ func newUpstreamResult(resp *http.Response, body []byte) *upstreamResult {
 	vals[n] = strconv.Itoa(len(body))
 	res.clen = vals[n : n+1 : n+1]
 	return res
+}
+
+// release hands a pooled body buffer back for the next fetch. Only a
+// flight leader that ran alone (cas.Alone) may call it, and only after its
+// write: no other rider holds the result, and an io.Writer must not retain
+// the bytes it was given. The result is left without a body, so any later
+// use shows as a missing body, never as another fetch's bytes.
+func (res *upstreamResult) release() {
+	if res.buf != nil {
+		bodyPool.Put(res.buf)
+	}
+	res.body, res.buf = nil, nil
 }
 
 // Gate is the cluster router. Create with New, mount via Handler, start
@@ -242,17 +313,22 @@ func New(cfg Config) (*Gate, error) {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
 	urls := make([]string, len(cfg.Backends))
+	bases := make([]*url.URL, len(cfg.Backends))
 	seen := make(map[string]bool, len(cfg.Backends))
 	for i, u := range cfg.Backends {
 		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+		base, err := url.Parse(u)
+		if err != nil || (base.Scheme != "http" && base.Scheme != "https") || base.Host == "" ||
+			base.RawQuery != "" || base.Fragment != "" {
 			return nil, fmt.Errorf("cluster: backend %q is not a base URL", u)
 		}
 		if seen[u] {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", u)
 		}
 		seen[u] = true
-		urls[i] = u
+		// The empty-port form "host:" is "host", as NewRequest reads it.
+		base.Host = strings.TrimSuffix(base.Host, ":")
+		urls[i], bases[i] = u, base
 	}
 	g := &Gate{
 		cfg:     cfg,
@@ -268,7 +344,7 @@ func New(cfg Config) (*Gate, error) {
 	}
 	g.backends = make([]*backend, len(urls))
 	for i, u := range urls {
-		g.backends[i] = &backend{url: u, xBackend: []string{u}}
+		g.backends[i] = &backend{url: u, base: *bases[i], xBackend: []string{u}}
 		g.backends[i].up.Store(true)
 	}
 	modelKey := g.routeKey("route-model", serve.ModelKey)
@@ -397,10 +473,10 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request, keyFn func([]byte) 
 	}
 	key := keyFn(body)
 	ureq := newUpstreamRequest(r, body)
-	res, err, shared := g.flight.Do(r.Context(), key, func() (*upstreamResult, error) {
+	res, err, role := g.flight.Do(r.Context(), key, func() (*upstreamResult, error) {
 		return g.fetch(key, ureq)
 	})
-	if shared {
+	if role == cas.Waiter {
 		g.coalesced.Add(1)
 	}
 	if err != nil {
@@ -413,6 +489,12 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request, keyFn func([]byte) 
 		return
 	}
 	g.writeResult(w, r, res)
+	if role == cas.Alone {
+		// Nobody else holds the result and its write is done, so its body
+		// buffer can take the next fetch. A shared result is never
+		// recycled: another rider may still be writing it.
+		res.release()
+	}
 }
 
 // readBody drains a capped request body, writing the problem response
@@ -491,47 +573,52 @@ func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, err
 func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, ownerURL string) (*upstreamResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.Timeout)
 	defer cancel()
-	var rd io.Reader
-	if len(ureq.body) > 0 {
-		rd = bytes.NewReader(ureq.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, ureq.method, b.url+ureq.path, rd)
-	if err != nil {
-		return nil, err
-	}
-	ureq.apply(req)
-	if ownerURL != "" {
-		// Name the primary owner so the handling replica can try a peer
-		// cache-fill before evaluating locally.
-		req.Header.Set(serve.PeerOwnerHeader, ownerURL)
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.client.Do(ureq.build(ctx, b, ownerURL))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := readUpstream(resp)
+	body, buf, err := readUpstream(resp)
 	if err != nil {
 		return nil, err
 	}
-	return newUpstreamResult(resp, data), nil
+	return newUpstreamResult(resp, body, buf), nil
 }
 
 // readUpstream buffers an upstream response body. A declared length up to
-// maxPresizedBody is read into one exactly sized buffer; an unknown or
+// maxPooledBody is read into a pooled buffer, returned as buf for release;
+// one up to maxPresizedBody into one exactly sized buffer; an unknown or
 // larger one grows incrementally. A body that ends short of its declared
 // length, or runs past it, is an error — the caller treats it like any
-// other transport failure, so a truncated body is never served.
-func readUpstream(resp *http.Response) ([]byte, error) {
+// other transport failure, so a truncated body is never served. A failed
+// read's buffer is dropped, never pooled.
+func readUpstream(resp *http.Response) (body []byte, buf *[]byte, err error) {
 	n := resp.ContentLength
-	if n >= 0 && n <= maxPresizedBody {
-		return readExact(resp.Body, n)
+	switch {
+	case n >= 0 && n <= maxPooledBody:
+		buf, _ = bodyPool.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		if int64(cap(*buf)) <= n {
+			// Rounded up to a power of two (always past n, leaving the
+			// probe byte), so buffers settle at the largest size in use.
+			*buf = make([]byte, 1<<bits.Len64(uint64(n)))
+		}
+		body = (*buf)[:n]
+		if err := readInto(resp.Body, body); err != nil {
+			return nil, nil, err
+		}
+		return body, buf, nil
+	case n >= 0 && n <= maxPresizedBody:
+		body, err = readExact(resp.Body, n)
+		return body, nil, err
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err == nil && n >= 0 && int64(len(data)) != n {
-		err = fmt.Errorf("body is %d bytes, declared %d", len(data), n)
+	body, err = io.ReadAll(resp.Body)
+	if err == nil && n >= 0 && int64(len(body)) != n {
+		err = fmt.Errorf("body is %d bytes, declared %d", len(body), n)
 	}
-	return data, err
+	return body, nil, err
 }
 
 // readExact reads a body of declared length n into one buffer of exactly
@@ -540,15 +627,26 @@ func readExact(rd io.Reader, n int64) ([]byte, error) {
 	// One spare byte of capacity lets the end-of-body probe read without a
 	// second allocation.
 	buf := make([]byte, n, n+1)
-	if _, err := io.ReadFull(rd, buf); err != nil {
+	if err := readInto(rd, buf); err != nil {
 		return nil, err
+	}
+	return buf, nil
+}
+
+// readInto fills buf from rd, which must end exactly there: ending short,
+// or running past it, is an error. buf needs one spare byte of capacity
+// for the end-of-body probe.
+func readInto(rd io.Reader, buf []byte) error {
+	if _, err := io.ReadFull(rd, buf); err != nil {
+		return err
 	}
 	// The probe's error is dropped: every declared byte has arrived, so
 	// only a byte past the end makes the body wrong.
+	n := len(buf)
 	if extra, _ := rd.Read(buf[n : n+1]); extra > 0 {
-		return nil, fmt.Errorf("body runs past its declared %d bytes", n)
+		return fmt.Errorf("body runs past its declared %d bytes", n)
 	}
-	return buf, nil
+	return nil
 }
 
 // writeResult renders a shared upstream result to one client, applying

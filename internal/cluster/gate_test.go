@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,11 +411,13 @@ func TestGateXBackendOnEveryResponse(t *testing.T) {
 // proxy path plus the replica hit behind it (0 allocs). Measured on a
 // 2-CPU x86-64 host with go1.24: 45 allocs and 27,490 B per hit with
 // io.ReadAll upstream reads and per-request canonical keying; 23 allocs
-// and 7,830 B with exact-size reads, the routing memo and stamped
-// headers. The floor sits between, with headroom for toolchain drift.
+// and 7,832 B with exact-size reads, the routing memo and stamped
+// headers; 21 allocs and 1,641 B with pooled upstream bodies and the
+// upstream request built from the parsed backend URL. The floor keeps a
+// little headroom for toolchain drift.
 const (
-	gateHitMaxAllocs = 30
-	gateHitMaxBytes  = 12 << 10
+	gateHitMaxAllocs = 24
+	gateHitMaxBytes  = 3 << 10
 )
 
 func TestGateHitAllocs(t *testing.T) {
@@ -483,4 +489,375 @@ func (w *discardWriter) WriteHeader(code int) {
 func (w *discardWriter) Write(p []byte) (int, error) {
 	w.WriteHeader(http.StatusOK)
 	return len(p), nil
+}
+
+// TestGateEscapedFigureNames is the escaped-path regression: a figure name
+// holding "%", "?", "#" or "/" reaches the owning replica as the name the
+// gate routed on, so the client gets the replica's own 404, no backend is
+// marked down and no upstream error is counted. (Built by re-parsing the
+// backend URL plus the decoded path, "100%" failed to parse on every
+// backend and "fig1.svg?x=1" arrived as a query.)
+func TestGateEscapedFigureNames(t *testing.T) {
+	cases := []struct{ path, name string }{
+		{"/v1/figures/100%25", "100%"},
+		{"/v1/figures/fig1.svg%3Fx=1", "fig1.svg?x=1"},
+		{"/v1/figures/fig1.svg%23top", "fig1.svg#top"},
+		{"/v1/figures/a%2Fb.svg", "a/b.svg"},
+	}
+	t.Run("in-process", func(t *testing.T) {
+		c := newInprocGate(t, 3)
+		var mu sync.Mutex
+		var sent []string
+		c.tr.before = func(req *http.Request) {
+			mu.Lock()
+			sent = append(sent, req.URL.RequestURI())
+			mu.Unlock()
+		}
+		for _, tc := range cases {
+			direct := httptest.NewRecorder()
+			c.tr.handlers["replica-0"].ServeHTTP(direct, httptest.NewRequest("GET", tc.path, nil))
+			if direct.Code != http.StatusNotFound || !strings.Contains(direct.Body.String(), tc.name) {
+				t.Fatalf("%s direct: status %d body %s, want a 404 naming %q", tc.path, direct.Code, direct.Body, tc.name)
+			}
+			sent = sent[:0]
+			rec := c.do("GET", tc.path, "", "")
+			if rec.Code != direct.Code || !bytes.Equal(rec.Body.Bytes(), direct.Body.Bytes()) {
+				t.Errorf("%s: gate %d %s, want the replica's %d %s", tc.path, rec.Code, rec.Body, direct.Code, direct.Body)
+			}
+			if want := c.urls[c.gate.ring.Owner(serve.FigureKey(tc.name), nil)]; rec.Header().Get("X-Backend") != want {
+				t.Errorf("%s: X-Backend %q, want the name's owner %q", tc.path, rec.Header().Get("X-Backend"), want)
+			}
+			if len(sent) != 1 || sent[0] != tc.path {
+				t.Errorf("%s: upstream request URIs %q, want exactly the client's", tc.path, sent)
+			}
+		}
+		snap := c.gate.MetricsSnapshot()
+		if snap.UpstreamErrors != 0 {
+			t.Errorf("upstream_errors = %d, want 0", snap.UpstreamErrors)
+		}
+		for _, b := range snap.Backends {
+			if !b.Up {
+				t.Errorf("backend %s marked down", b.URL)
+			}
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		single := httptest.NewServer(serve.New(serve.Config{}).Handler())
+		defer single.Close()
+		c := newCluster(t, 3)
+		for _, tc := range cases {
+			wantStatus, wantBody, _ := get(t, single.URL+tc.path)
+			gotStatus, gotBody, _ := get(t, c.front.URL+tc.path)
+			if gotStatus != wantStatus || !bytes.Equal(gotBody, wantBody) {
+				t.Errorf("%s: gate %d %s, single server %d %s", tc.path, gotStatus, gotBody, wantStatus, wantBody)
+			}
+		}
+		if n := c.gate.MetricsSnapshot().UpstreamErrors; n != 0 {
+			t.Errorf("upstream_errors = %d, want 0", n)
+		}
+	})
+}
+
+// TestGateUpstreamRequestParity pins the hand-built upstream request to
+// what http.NewRequestWithContext makes from the backend URL plus path:
+// the same method, URL, request URI, host, protocol, length, forwarded
+// headers and body bytes, http.NoBody for an empty body, and a GetBody for
+// a non-empty one (without it the transport cannot retry on a stale
+// keep-alive connection, and the gate would mark a healthy backend down).
+func TestGateUpstreamRequestParity(t *testing.T) {
+	c := newInprocGate(t, 1)
+	var got *http.Request
+	var gotBody []byte
+	c.tr.before = func(req *http.Request) {
+		got, gotBody = req, nil
+		if req.Body != http.NoBody {
+			gotBody, _ = io.ReadAll(req.Body)
+			// Hand the replica a fresh copy of what was just read.
+			req.Body, _ = req.GetBody()
+		}
+	}
+	const sweep = `{"kind":"grid","case":"lcls-cori","p":5,"resources":[{"resource":"memory","factors":[1,2]}],"wall_factors":[1]}`
+	forwarded := []string{"Content-Type", "Accept", serve.TenantHeader, serve.DeadlineHeader}
+	for _, tc := range []struct {
+		name, method, path, upstream, body, accept string
+	}{
+		{"model", "POST", "/v1/model", "/v1/model", `{"case":"example"}`, ""},
+		{"sweep", "POST", "/v1/sweep", "/v1/sweep", sweep, ""},
+		{"stream", "POST", "/v1/sweep", "/v1/sweep/stream", sweep, serve.ContentTypeNDJSON},
+		{"figure", "GET", "/v1/figures/example.svg", "/v1/figures/example.svg", "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+			if tc.body != "" {
+				client.Header.Set("Content-Type", "application/json")
+			}
+			if tc.accept != "" {
+				client.Header.Set("Accept", tc.accept)
+			}
+			client.Header.Set(serve.TenantHeader, "parity")
+			client.Header.Set(serve.DeadlineHeader, "60000")
+			rec := httptest.NewRecorder()
+			c.gate.Handler().ServeHTTP(rec, client)
+			if rec.Code != http.StatusOK || got == nil {
+				t.Fatalf("status %d, upstream request %v", rec.Code, got)
+			}
+
+			want, err := http.NewRequestWithContext(context.Background(), tc.method,
+				c.urls[0]+tc.upstream, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range forwarded {
+				if v := client.Header.Get(k); v != "" {
+					want.Header.Set(k, v)
+				}
+			}
+			if got.Method != want.Method || *got.URL != *want.URL || got.URL.RequestURI() != want.URL.RequestURI() {
+				t.Errorf("target %s %+v (%s), want %s %+v (%s)", got.Method, *got.URL, got.URL.RequestURI(),
+					want.Method, *want.URL, want.URL.RequestURI())
+			}
+			if got.Host != want.Host || got.Proto != want.Proto ||
+				got.ProtoMajor != want.ProtoMajor || got.ProtoMinor != want.ProtoMinor {
+				t.Errorf("host/proto %q %q %d.%d, want %q %q %d.%d", got.Host, got.Proto, got.ProtoMajor,
+					got.ProtoMinor, want.Host, want.Proto, want.ProtoMajor, want.ProtoMinor)
+			}
+			if got.ContentLength != want.ContentLength {
+				t.Errorf("ContentLength %d, want %d", got.ContentLength, want.ContentLength)
+			}
+			if !reflect.DeepEqual(got.Header, want.Header) {
+				t.Errorf("headers %v, want %v", got.Header, want.Header)
+			}
+			if tc.body == "" {
+				if got.Body != http.NoBody || want.Body != http.NoBody {
+					t.Errorf("empty body: got %T, reference %T, want http.NoBody for both", got.Body, want.Body)
+				}
+				return
+			}
+			if string(gotBody) != tc.body {
+				t.Errorf("body %q, want %q", gotBody, tc.body)
+			}
+			if got.GetBody == nil {
+				t.Fatal("non-empty body without GetBody: the transport could not retry it")
+			}
+			rd, err := got.GetBody()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := io.ReadAll(rd); string(again) != tc.body {
+				t.Errorf("GetBody replays %q, want %q", again, tc.body)
+			}
+		})
+	}
+}
+
+// sizedFigures wraps a replica handler so that GET
+// /v1/figures/sized-<n>[-suffix] answers n deterministic bytes with a
+// per-size ETag, letting a test pick body sizes on both sides of
+// maxPooledBody.
+func sizedFigures(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		name, ok := strings.CutPrefix(r.URL.Path, "/v1/figures/sized-")
+		if !ok {
+			next.ServeHTTP(w, r)
+			return
+		}
+		n, _ := strconv.Atoi(strings.SplitN(name, "-", 2)[0])
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("ETag", sizedETag(n))
+		w.Write(sizedBody(n))
+	})
+}
+
+func sizedBody(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31 + n)
+	}
+	return b
+}
+
+func sizedETag(n int) string { return fmt.Sprintf(`"sized-%d"`, n) }
+
+// TestGatePooledBodyCap pins which upstream bodies are read into pooled
+// buffers: declared lengths up to maxPooledBody are, longer or undeclared
+// ones are not, and a body shorter or longer than declared never hands a
+// buffer back for pooling.
+func TestGatePooledBodyCap(t *testing.T) {
+	for _, tc := range []struct {
+		n, declared int
+		pooled      bool
+	}{
+		{0, 0, true},
+		{1, 1, true},
+		{4096, 4096, true},
+		{maxPooledBody, maxPooledBody, true},
+		{maxPooledBody + 1, maxPooledBody + 1, false},
+		{100, -1, false},
+	} {
+		data := sizedBody(tc.n)
+		resp := &http.Response{ContentLength: int64(tc.declared), Body: io.NopCloser(bytes.NewReader(data))}
+		body, buf, err := readUpstream(resp)
+		if err != nil || !bytes.Equal(body, data) {
+			t.Fatalf("%d bytes: err %v, body intact %v", tc.n, err, bytes.Equal(body, data))
+		}
+		if (buf != nil) != tc.pooled {
+			t.Errorf("%d bytes declared %d: pooled %v, want %v", tc.n, tc.declared, buf != nil, tc.pooled)
+		}
+		res := newUpstreamResult(&http.Response{StatusCode: http.StatusOK, Header: http.Header{}}, body, buf)
+		res.release()
+		if res.body != nil || res.buf != nil {
+			t.Errorf("%d bytes: a released result still holds its body", tc.n)
+		}
+	}
+	for _, delta := range []int{-1, 100} {
+		data := sizedBody(4096)
+		resp := &http.Response{ContentLength: int64(len(data) + delta), Body: io.NopCloser(bytes.NewReader(data))}
+		if _, buf, err := readUpstream(resp); err == nil || buf != nil {
+			t.Errorf("length off by %d: err %v, pooled buffer %v; want an error and no buffer", delta, err, buf != nil)
+		}
+	}
+}
+
+// TestGatePooledBodyOwnership is the ownership wall for pooled upstream
+// bodies. Through one gate, at once: a 64-way coalesced herd, a herd whose
+// waiters all cancel mid-flight (its leader then runs alone and recycles),
+// concurrent distinct keys with bodies on both sides of maxPooledBody, and
+// primary owners that misstate their body length and fail over. Every
+// rider must get the replica's exact bytes and ETag. Under -race a
+// recycled buffer that another rider still writes out is a reported race,
+// and release empties the result, so a shared result recycled early shows
+// as a missing body even without the detector.
+func TestGatePooledBodyOwnership(t *testing.T) {
+	c := newInprocGate(t, 3)
+	for host, h := range c.tr.handlers {
+		c.tr.handlers[host] = sizedFigures(h)
+	}
+	const herdPath, cancelPath = "/v1/figures/sized-5000", "/v1/figures/sized-7000"
+	gates := map[string]chan struct{}{herdPath: make(chan struct{}), cancelPath: make(chan struct{})}
+	var herdCalls, cancelCalls atomic.Int64
+	c.tr.before = func(req *http.Request) {
+		switch req.URL.Path {
+		case herdPath:
+			herdCalls.Add(1)
+		case cancelPath:
+			cancelCalls.Add(1)
+		}
+		if ch := gates[req.URL.Path]; ch != nil {
+			<-ch
+		}
+	}
+	// A "-short" name's primary owner declares more bytes than it sends, a
+	// "-long" name's fewer; the gate must fail over to the next owner.
+	c.tr.mangle = func(host string, resp *http.Response) {
+		name, _ := strings.CutPrefix(resp.Request.URL.Path, "/v1/figures/")
+		if c.urls[c.gate.ring.Owner(serve.FigureKey(name), nil)] != "http://"+host {
+			return
+		}
+		switch {
+		case strings.HasSuffix(name, "-short"):
+			resp.ContentLength += 100
+		case strings.HasSuffix(name, "-long"):
+			resp.ContentLength--
+		}
+	}
+
+	// expect checks one rider's response against the replica's bytes.
+	reference := serve.New(serve.Config{}).Handler()
+	expect := func(method, path, body string, rec *httptest.ResponseRecorder) {
+		var want []byte
+		var etag string
+		if name, ok := strings.CutPrefix(path, "/v1/figures/sized-"); ok {
+			n, _ := strconv.Atoi(strings.SplitN(name, "-", 2)[0])
+			want, etag = sizedBody(n), sizedETag(n)
+		} else {
+			direct := httptest.NewRecorder()
+			reference.ServeHTTP(direct, httptest.NewRequest(method, path, strings.NewReader(body)))
+			want, etag = direct.Body.Bytes(), direct.Header().Get("ETag")
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("ETag") != etag {
+			t.Errorf("%s %s: status %d, %d bytes (exact %v), ETag %q; want 200, the replica's %d bytes, ETag %q",
+				method, path, rec.Code, rec.Body.Len(), bytes.Equal(rec.Body.Bytes(), want),
+				rec.Header().Get("ETag"), len(want), etag)
+		}
+	}
+
+	var wg sync.WaitGroup
+	// The coalesced herd: one leader, 63 waiters, one upstream call.
+	const herd = 64
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			expect("GET", herdPath, "", c.do("GET", herdPath, "", ""))
+		}()
+	}
+	// The cancelled herd: every waiter hangs up before the fetch returns.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		expect("GET", cancelPath, "", c.do("GET", cancelPath, "", ""))
+	}()
+	waitFor(t, func() bool { _, in := c.gate.flight.Waiting(serve.FigureKey("sized-7000")); return in },
+		"cancelled herd's leader never started")
+	const quitters = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	var quit sync.WaitGroup
+	for i := 0; i < quitters; i++ {
+		quit.Add(1)
+		go func() {
+			defer quit.Done()
+			req := httptest.NewRequest("GET", cancelPath, nil).WithContext(ctx)
+			c.gate.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		}()
+	}
+
+	// Distinct keys, repeated, alongside the parked herds.
+	type request struct{ method, path, body string }
+	var distinct []request
+	for _, n := range []int{0, 1, 100, 3000, 9000, maxPooledBody, maxPooledBody + 1, 3 * maxPooledBody} {
+		distinct = append(distinct, request{"GET", fmt.Sprintf("/v1/figures/sized-%d", n), ""})
+	}
+	for _, n := range []int{2000, 2 * maxPooledBody} {
+		for _, lie := range []string{"short", "long"} {
+			distinct = append(distinct, request{"GET", fmt.Sprintf("/v1/figures/sized-%d-%s", n, lie), ""})
+		}
+	}
+	for _, cs := range []string{"example", "lcls-cori", "bgw-64"} {
+		distinct = append(distinct, request{"POST", "/v1/model", fmt.Sprintf(`{"case":%q}`, cs)})
+	}
+	distinct = append(distinct, request{"GET", "/v1/figures/example.svg", ""})
+	for _, rq := range distinct {
+		for rider := 0; rider < 3; rider++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					expect(rq.method, rq.path, rq.body, c.do(rq.method, rq.path, rq.body, ""))
+				}
+			}()
+		}
+	}
+
+	waitFor(t, func() bool {
+		n, in := c.gate.flight.Waiting(serve.FigureKey("sized-5000"))
+		return in && n == herd-1
+	}, "herd never coalesced onto one flight")
+	waitFor(t, func() bool { n, _ := c.gate.flight.Waiting(serve.FigureKey("sized-7000")); return n == quitters },
+		"cancelling waiters never parked")
+	cancel()
+	quit.Wait()
+	close(gates[cancelPath])
+	close(gates[herdPath])
+	wg.Wait()
+
+	if n := herdCalls.Load(); n != 1 {
+		t.Errorf("%d upstream calls for a %d-way herd, want 1", n, herd)
+	}
+	if n := cancelCalls.Load(); n != 1 {
+		t.Errorf("%d upstream calls for the cancelled herd, want 1", n)
+	}
+	// Recycled buffers keep serving exact bytes after the storm.
+	for _, rq := range distinct {
+		expect(rq.method, rq.path, rq.body, c.do(rq.method, rq.path, rq.body, ""))
+	}
 }

@@ -12,7 +12,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -101,7 +100,7 @@ func (g *Gate) streamProxy(w http.ResponseWriter, r *http.Request, keyFn func([]
 	// Normalize the upstream path: a client that negotiated via Accept on
 	// /v1/sweep still pumps through the dedicated endpoint, keeping one
 	// upstream route (the replica's Accept handling picks the framing).
-	ureq.path = "/v1/sweep/stream"
+	ureq.path, ureq.rawPath = "/v1/sweep/stream", ""
 	f, owner := g.joinStream(key, ureq)
 	if !owner {
 		g.streamCoalesced.Add(1)
@@ -253,20 +252,12 @@ func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *u
 		}
 		tried[idx] = true
 		b := g.backends[idx]
-		var rd io.Reader
-		if len(ureq.body) > 0 {
-			rd = bytes.NewReader(ureq.body)
-		}
-		req, err := http.NewRequestWithContext(ctx, ureq.method, b.url+ureq.path, rd)
-		if err != nil {
-			f.finish(err)
-			return
-		}
-		ureq.apply(req)
+		ownerURL := ""
 		if idx != primary {
-			req.Header.Set(serve.PeerOwnerHeader, g.backends[primary].url)
+			ownerURL = g.backends[primary].url
 		}
-		resp, err = g.client.Do(req)
+		var err error
+		resp, err = g.client.Do(ureq.build(ctx, b, ownerURL))
 		if err != nil {
 			g.upstreamErrors.Add(1)
 			g.markDown(b)

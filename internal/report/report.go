@@ -4,7 +4,9 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -57,20 +59,73 @@ func (t *Table) AddRowf(values ...any) error {
 
 // Num formats a float compactly: up to four significant digits, scientific
 // notation outside [1e-3, 1e7).
+//
+// Inside the range the value is rounded to four decimals, trailing zeros
+// dropped. strconv's 'f' format with a precision always takes its
+// arbitrary-precision path, so the same rounding is asked of the
+// fixed-digit 'e' path instead: as many significant digits as reach the
+// fourth decimal, then laid out around the point.
 func Num(v float64) string {
-	av := v
-	if av < 0 {
-		av = -av
-	}
+	av := math.Abs(v)
 	if av != 0 && (av < 1e-3 || av >= 1e7) {
 		return strconv.FormatFloat(v, 'e', 3, 64)
 	}
-	s := strconv.FormatFloat(v, 'f', 4, 64)
-	if strings.Contains(s, ".") {
-		s = strings.TrimRight(s, "0")
-		s = strings.TrimRight(s, ".")
+	if av == 0 || av != av {
+		// Zero keeps its sign and NaN has no digits; the shortest form
+		// spells both as the trimmed four-decimal form does.
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
-	return s
+	// intDigits is the decimal exponent plus one: how many digits the value
+	// has before the point (zero or fewer below 1). The double nearest each
+	// of 0.1 and 0.01 lies above it, so the comparisons are exact.
+	var intDigits int
+	switch {
+	case av >= 1:
+		intDigits = 1
+		for n := uint64(av); n >= 10; n /= 10 {
+			intDigits++
+		}
+	case av >= 0.1:
+		intDigits = 0
+	case av >= 0.01:
+		intDigits = -1
+	default:
+		intDigits = -2
+	}
+	var dbuf [32]byte
+	d := strconv.AppendFloat(dbuf[:0], av, 'e', intDigits+3, 64)
+	// d is "D.DDDe±XX"; gather the digits and read the exponent, which is
+	// intDigits-1, or intDigits when rounding carried into a new digit.
+	e := bytes.IndexByte(d, 'e')
+	exp := 0
+	for _, c := range d[e+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if d[e+1] == '-' {
+		exp = -exp
+	}
+	copy(d[1:], d[2:e])
+	digits := d[:e-1]
+
+	var out [32]byte
+	s := out[:0]
+	if v < 0 {
+		s = append(s, '-')
+	}
+	if point := exp + 1; point > 0 {
+		s = append(s, digits[:point]...)
+		s = append(s, '.')
+		s = append(s, digits[point:]...)
+	} else {
+		s = append(s, '0', '.')
+		for ; point < 0; point++ {
+			s = append(s, '0')
+		}
+		s = append(s, digits...)
+	}
+	s = bytes.TrimRight(s, "0")
+	s = bytes.TrimSuffix(s, []byte("."))
+	return string(s)
 }
 
 // Text renders the table with aligned columns.

@@ -86,8 +86,7 @@ func (p *Pool) QueueLength() int { return len(p.queue) - p.head }
 
 // Acquire requests n nodes; granted runs (synchronously, at the current
 // virtual time) once they are allocated. Grants are strictly FIFO: a large
-// request at the head blocks smaller ones behind it (no backfill — see
-// internal/sched for backfill policies).
+// request at the head blocks smaller ones behind it (no backfill).
 func (p *Pool) Acquire(n int, granted func()) error {
 	if n <= 0 {
 		return fmt.Errorf("resources: pool %q: acquire %d nodes", p.Name, n)

@@ -615,7 +615,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, co
 		return
 	}
 	disposition := "cold"
-	resp, err, shared := s.flight.Do(r.Context(), key, func() (Response, error) {
+	resp, err, role := s.flight.Do(r.Context(), key, func() (Response, error) {
 		// Re-check under the flight: a request that lost the race between
 		// its cache miss and its flight entry finds the winner's result.
 		if resp, ok := s.cache.Get(key); ok {
@@ -639,7 +639,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key Key, co
 		s.cache.Put(key, resp)
 		return resp, nil
 	})
-	if shared {
+	if role == cas.Waiter {
 		s.metrics.coalesced.Add(1)
 		disposition = "coalesced"
 	}

@@ -146,6 +146,19 @@ else
     fail=1
 fi
 
+# The gate buffer ownership wall: the gate recycles an upstream body
+# buffer only when its flight leader ran alone, so these tests (the flight's
+# exclusivity report, the pool's size cap, and a coalesced herd, cancelling
+# waiters, mixed body sizes and lying upstreams through one gate) run many
+# times under -race, where a recycled buffer another rider still reads is a
+# reported race. Named so a failure is attributed immediately.
+echo "== gate buffer ownership wall (race) =="
+if go test -race ./internal/cluster ./internal/cas -run 'TestGatePooledBody|TestFlightExclusivity' -count=50; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The serve-layer bugfix regressions (If-None-Match list matching, flight
 # waiter cancellation, recorder panic recycling) ride the same wall. The
 # flight waiter unit tests live with the shared singleflight in
@@ -236,7 +249,8 @@ if [ "${1:-}" = "-fuzz" ]; then
                   ./internal/machine:FuzzParse ./internal/failure:FuzzParse \
                   ./internal/wfgen:FuzzWfgenSpec ./internal/sim:FuzzBatchPlan \
                   ./internal/study:FuzzCorpusLane ./internal/engine:FuzzEngine \
-                  ./internal/sim:FuzzSimMakespanBound ./internal/report:FuzzTableJSON; do
+                  ./internal/sim:FuzzSimMakespanBound ./internal/report:FuzzTableJSON \
+                  ./internal/report:FuzzNum; do
         pkg="${target%%:*}"
         fuzz="${target##*:}"
         if ! go test "$pkg" -fuzz="$fuzz" -fuzztime="$fuzztime"; then
