@@ -97,13 +97,7 @@ func Num(v float64) string {
 	// d is "D.DDDe±XX"; gather the digits and read the exponent, which is
 	// intDigits-1, or intDigits when rounding carried into a new digit.
 	e := bytes.IndexByte(d, 'e')
-	exp := 0
-	for _, c := range d[e+2:] {
-		exp = exp*10 + int(c-'0')
-	}
-	if d[e+1] == '-' {
-		exp = -exp
-	}
+	exp, _ := strconv.Atoi(string(d[e+1:]))
 	copy(d[1:], d[2:e])
 	digits := d[:e-1]
 
