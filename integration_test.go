@@ -170,8 +170,8 @@ func TestPaperHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := lcls.Model.LimitingResource(5); res != core.ResExternal {
-		t.Errorf("LCLS limiting resource = %v, want external", res)
+	if _, c := lcls.Model.Bound(5); c.Resource != core.ResExternal {
+		t.Errorf("LCLS limiting resource = %v, want external", c.Resource)
 	}
 	if r := lcls.Points[0].TPS / lcls.Points[1].TPS; !almostI(r, 5, 0.05) {
 		t.Errorf("LCLS good/bad = %.2f, want ~5", r)

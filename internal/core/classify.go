@@ -229,12 +229,6 @@ func (m *Model) Advise(pt Point) []Recommendation {
 	return recs
 }
 
-// Infeasible reports whether the direction "increase parallel tasks" is
-// blocked for a point (at or beyond the wall).
-func (m *Model) Infeasible(pt Point) bool {
-	return pt.ParallelTasks >= float64(m.Wall)
-}
-
 // Report renders a full analysis of points against the model as text.
 func (m *Model) Report(points []Point) string {
 	var b strings.Builder

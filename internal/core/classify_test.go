@@ -148,12 +148,6 @@ func TestAdviseAtWall(t *testing.T) {
 	if !foundInfeasible {
 		t.Errorf("at-wall advice should mark parallelism infeasible: %+v", recs)
 	}
-	if !m.Infeasible(pt) {
-		t.Error("Infeasible should be true at the wall")
-	}
-	if m.Infeasible(Point{ParallelTasks: 3}) {
-		t.Error("Infeasible should be false below the wall")
-	}
 }
 
 func TestAdviseSystemBound(t *testing.T) {

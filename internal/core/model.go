@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"wroofline/internal/machine"
@@ -226,13 +225,6 @@ func (m *Model) BoundAtWall() (float64, Ceiling) {
 	return m.Bound(float64(m.Wall))
 }
 
-// LimitingResource returns the resource that bounds performance at p
-// parallel tasks.
-func (m *Model) LimitingResource(p float64) Resource {
-	_, c := m.Bound(p)
-	return c.Resource
-}
-
 // Crossover returns the number of parallel tasks at which a node-scoped
 // ceiling meets a system-scoped ceiling: p* = T_node / T_system. Below p*
 // the node ceiling binds; above it the system ceiling binds. It returns an
@@ -369,17 +361,6 @@ func (m *Model) String() string {
 	return b.String()
 }
 
-// SortCeilings orders ceilings by ascending attainable TPS at p, i.e. most
-// restrictive first, returning a copy.
-func (m *Model) SortCeilings(p float64) []Ceiling {
-	out := make([]Ceiling, len(m.Ceilings))
-	copy(out, m.Ceilings)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].TPSAt(p) < out[j].TPSAt(p)
-	})
-	return out
-}
-
 // BuildOptions tunes automatic model construction.
 type BuildOptions struct {
 	// AvailableNodes overrides the partition node count used for the wall
@@ -406,27 +387,40 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := m.Partition(w.Partition)
+	pk, err := m.Peaks(w.Partition, opts.ExternalBW)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := ceilingTimes(m, part, w.Partition, w.Name, w.MaxWorkPerTask(), w.MaxTaskNodes(), opts)
+	wall, loads, err := ceilingLoads(&pk, w.Name, w.MaxWorkPerTask(), w.MaxTaskNodes(), opts.AvailableNodes)
 	if err != nil {
 		return nil, err
 	}
 	model := &Model{
-		Title: w.Name + " on " + m.Name + "/" + part.Name,
-		Wall:  cs.wall,
+		Title: w.Name + " on " + pk.Machine + "/" + pk.Partition,
+		Wall:  wall,
 	}
-	for _, c := range cs.list() {
-		if c.time <= 0 {
+	for _, c := range ceilingOrder {
+		l := loads[c.res]
+		if l.Time <= 0 {
 			continue // AddCeiling would skip it unnamed
 		}
 		model.AddCeiling(Ceiling{
-			Name:        c.name(opts),
+			Name:        ceilingName(c.res, l),
 			Resource:    c.res,
 			Scope:       c.scope,
-			TimePerTask: c.time,
+			TimePerTask: l.Time,
+		})
+	}
+	if opts.OverheadSeconds > 0 {
+		name := opts.OverheadName
+		if name == "" {
+			name = "Control-flow overhead"
+		}
+		model.AddCeiling(Ceiling{
+			Name:        fmt.Sprintf("%s: %.4gs/task", name, opts.OverheadSeconds),
+			Resource:    ResOverhead,
+			Scope:       ScopeNode,
+			TimePerTask: opts.OverheadSeconds,
 		})
 	}
 	model.SetTargets(w.Targets, w.TotalTasks())
@@ -438,155 +432,118 @@ func Build(m *machine.Machine, w *workflow.Workflow, opts BuildOptions) (*Model,
 
 // WallBound is what Build(...).BoundAtWall() returns — the bound at the
 // parallelism wall and the resource of the ceiling that sets it — for a
-// workflow on the partition whose component-wise maximum work vector is
-// work and whose widest task needs maxTaskNodes nodes, with default build
-// options. It runs Build's ceiling arithmetic, breaks ties in Build's
-// ceiling order, and names no ceiling. It fails whenever Build would; its
-// error messages name no workflow or ceiling.
-func WallBound(m *machine.Machine, partition string, work workflow.Work, maxTaskNodes int) (float64, Resource, error) {
-	if err := m.Validate(); err != nil {
-		return 0, 0, err
-	}
-	part, err := m.Partition(partition)
-	if err != nil {
-		return 0, 0, err
-	}
-	cs, err := ceilingTimes(m, part, partition, "", work, maxTaskNodes, BuildOptions{})
+// workflow on the partition of pk, resolved from a valid machine with no
+// external override, whose component-wise maximum work vector is work and
+// whose widest task needs maxTaskNodes nodes, with default build options.
+// It runs Build's ceiling arithmetic, breaks ties in Build's ceiling order,
+// and names no ceiling. It fails whenever Build would; its error messages
+// name no workflow or ceiling.
+func WallBound(pk *machine.Peaks, work workflow.Work, maxTaskNodes int) (float64, Resource, error) {
+	wall, loads, err := ceilingLoads(pk, "", work, maxTaskNodes, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Model.Validate and Model.Bound over unnamed ceilings, without a Model:
 	// one holding the ceilings would escape through Validate's error path.
-	p := float64(cs.wall)
-	tps, limit, n := math.Inf(1), Ceiling{}, 0
-	for _, c := range cs.list() {
-		if c.time <= 0 {
+	p := float64(wall)
+	tps, limit, n := math.Inf(1), Resource(0), 0
+	for _, c := range ceilingOrder {
+		l := loads[c.res]
+		if l.Time <= 0 {
 			continue
 		}
-		if invalidTime(c.time) {
-			return 0, 0, fmt.Errorf("core: %s ceiling has invalid time %v", c.res, c.time)
+		if invalidTime(l.Time) {
+			return 0, 0, fmt.Errorf("core: %s ceiling has invalid time %v", c.res, l.Time)
 		}
 		n++
-		cl := Ceiling{Resource: c.res, Scope: c.scope, TimePerTask: c.time}
+		cl := Ceiling{Scope: c.scope, TimePerTask: l.Time}
 		if v := cl.TPSAt(p); v < tps {
-			tps, limit = v, cl
+			tps, limit = v, c.res
 		}
 	}
 	if n == 0 {
 		return 0, 0, fmt.Errorf("core: workflow has no ceilings")
 	}
-	return tps, limit.Resource, nil
+	return tps, limit, nil
 }
 
-// ceilingTime is one ceiling before naming: its resource and scope, the
-// per-task volume and the peak it is moved or computed at, and the time at
-// peak. A non-positive time marks an unused resource.
-type ceilingTime struct {
+// Load is one resource's share of a task: the volume the task computes or
+// moves on it, the peak it goes at, and the time at peak.
+type Load struct{ Vol, Peak, Time float64 }
+
+// Loads holds a task's Load on every resource, indexed by Resource.
+// ResOverhead's entry is always zero: overhead is not work at a peak.
+type Loads [ResBisection + 1]Load
+
+// TaskLoads is Eq. (1)'s per-task arithmetic: the load work puts on each
+// resource of pk for a task spread over nodes nodes. Compute, memory, PCIe
+// and network work is per node; file-system and external volumes are the
+// task's; the bisection volume is the task's injected bytes across all its
+// nodes, of which machine.BisectionShare crosses the cut. Work on a
+// resource with no peak is a *machine.NoPeakError naming the workflow name.
+func TaskLoads(name string, work workflow.Work, nodes int, pk *machine.Peaks) (Loads, error) {
+	l := Loads{
+		ResCompute:    {float64(work.Flops), float64(pk.Flops), units.TimeToCompute(work.Flops, pk.Flops)},
+		ResMemory:     {float64(work.MemBytes), float64(pk.Mem), units.TimeToMove(work.MemBytes, pk.Mem)},
+		ResPCIe:       {float64(work.PCIeBytes), float64(pk.PCIe), units.TimeToMove(work.PCIeBytes, pk.PCIe)},
+		ResNetwork:    {float64(work.NetworkBytes), float64(pk.NIC), units.TimeToMove(work.NetworkBytes, pk.NIC)},
+		ResFileSystem: {float64(work.FSBytes), float64(pk.FS), units.TimeToMove(work.FSBytes, pk.FS)},
+		ResExternal:   {float64(work.ExternalBytes), float64(pk.External), units.TimeToMove(work.ExternalBytes, pk.External)},
+	}
+	for r := range l {
+		if l[r].Vol > 0 && l[r].Peak <= 0 {
+			return Loads{}, fmt.Errorf("core: %w", pk.NoPeak(name, Resource(r).String()))
+		}
+	}
+	if pk.Bisection > 0 {
+		vol := units.Bytes(float64(work.NetworkBytes) * float64(nodes) * machine.BisectionShare)
+		l[ResBisection] = Load{float64(vol), float64(pk.Bisection), units.TimeToMove(vol, pk.Bisection)}
+	}
+	return l, nil
+}
+
+// ceilingOrder is Build's presentation order of the resources with a peak.
+// Network bytes are characterized per node and ride the per-node NIC, but
+// the paper draws the network as a shared system ceiling (Fig 1); the
+// per-node ratio is p-invariant either way. Ridgeline-style fabrics add the
+// bisection ceiling right after it.
+var ceilingOrder = [...]struct {
 	res   Resource
 	scope Scope
-	vol   float64
-	peak  float64
-	time  float64
+}{
+	{ResCompute, ScopeNode},
+	{ResMemory, ScopeNode},
+	{ResPCIe, ScopeNode},
+	{ResNetwork, ScopeSystem},
+	{ResBisection, ScopeSystem},
+	{ResFileSystem, ScopeSystem},
+	{ResExternal, ScopeSystem},
 }
 
-// ceilingSet is the wall plus every ceiling Build considers, in
-// presentation order.
-type ceilingSet struct {
-	wall int
-	n    int
-	c    [8]ceilingTime
-}
-
-func (s *ceilingSet) list() []ceilingTime { return s.c[:s.n] }
-
-func (s *ceilingSet) add(res Resource, scope Scope, vol, peak, time float64) {
-	s.c[s.n] = ceilingTime{res: res, scope: scope, vol: vol, peak: peak, time: time}
-	s.n++
-}
-
-// ceilingTimes is Build's arithmetic: the wall from node counts, and each
-// ceiling's time from the heaviest task's work (work) and the widest task's
-// node count (req). name labels the workflow in errors.
-func ceilingTimes(m *machine.Machine, part *machine.Partition, partition, name string,
-	work workflow.Work, req int, opts BuildOptions) (ceilingSet, error) {
-	var cs ceilingSet
-	nodes := part.Nodes
-	if opts.AvailableNodes > 0 {
-		nodes = opts.AvailableNodes
+// ceilingLoads is Build's arithmetic: the wall from node counts (the
+// partition's, or availableNodes when positive), and the loads of the
+// heaviest task's work (work) spread over the widest task's node count
+// (req). name labels the workflow in errors.
+func ceilingLoads(pk *machine.Peaks, name string, work workflow.Work, req, availableNodes int) (int, Loads, error) {
+	nodes := pk.Nodes
+	if availableNodes > 0 {
+		nodes = availableNodes
 	}
 	if req > nodes {
-		return cs, fmt.Errorf("core: workflow %s needs %d nodes per task but only %d are available",
+		return 0, Loads{}, fmt.Errorf("core: workflow %s needs %d nodes per task but only %d are available",
 			name, req, nodes)
 	}
-	cs.wall = nodes / req
-
-	cs.add(ResCompute, ScopeNode, float64(work.Flops), float64(part.NodeFlops),
-		units.TimeToCompute(work.Flops, part.NodeFlops))
-	// NUMA topologies lower the memory peak below the flat node aggregate;
-	// for machines without a NUMA block EffectiveMemBW is exactly NodeMemBW.
-	memBW := part.EffectiveMemBW()
-	cs.add(ResMemory, ScopeNode, float64(work.MemBytes), float64(memBW),
-		units.TimeToMove(work.MemBytes, memBW))
-	if work.PCIeBytes > 0 && part.NodePCIeBW <= 0 {
-		return cs, fmt.Errorf("core: workflow %s moves PCIe data but partition %s/%s has no PCIe bandwidth",
-			name, m.Name, partition)
-	}
-	cs.add(ResPCIe, ScopeNode, float64(work.PCIeBytes), float64(part.NodePCIeBW),
-		units.TimeToMove(work.PCIeBytes, part.NodePCIeBW))
-	// Network bytes are characterized per node and ride the per-node NIC
-	// injection bandwidth, but the paper draws the network as a shared
-	// system ceiling (Fig 1); the per-node ratio is p-invariant either way.
-	cs.add(ResNetwork, ScopeSystem, float64(work.NetworkBytes), float64(part.NodeNICBW),
-		units.TimeToMove(work.NetworkBytes, part.NodeNICBW))
-	// Ridgeline-style fabrics add a second network ceiling: the per-task
-	// bisection load (the task's injected bytes across all its nodes, of
-	// which BisectionShare crosses the cut) over the fabric's aggregate
-	// bisection bandwidth. Machines without a bisection entry model a
-	// full-bisection fabric and add nothing.
-	if bisBW, ok := m.BisectionBW[partition]; ok && work.NetworkBytes > 0 {
-		vol := units.Bytes(float64(work.NetworkBytes) * float64(req) * machine.BisectionShare)
-		cs.add(ResBisection, ScopeSystem, float64(vol), float64(bisBW), units.TimeToMove(vol, bisBW))
-	}
-	if work.FSBytes > 0 {
-		fsBW, err := m.FSBandwidth(partition)
-		if err != nil {
-			return cs, err
-		}
-		cs.add(ResFileSystem, ScopeSystem, float64(work.FSBytes), float64(fsBW),
-			units.TimeToMove(work.FSBytes, fsBW))
-	}
-	if work.ExternalBytes > 0 {
-		ext := m.ExternalBW
-		if opts.ExternalBW > 0 {
-			ext = opts.ExternalBW
-		}
-		if ext <= 0 {
-			return cs, fmt.Errorf("core: workflow %s stages external data but machine %s has no external bandwidth",
-				name, m.Name)
-		}
-		cs.add(ResExternal, ScopeSystem, float64(work.ExternalBytes), float64(ext),
-			units.TimeToMove(work.ExternalBytes, ext))
-	}
-	if opts.OverheadSeconds > 0 {
-		cs.add(ResOverhead, ScopeNode, 0, 0, opts.OverheadSeconds)
-	}
-	return cs, nil
+	loads, err := TaskLoads(name, work, req, pk)
+	return nodes / req, loads, err
 }
 
-// name renders the ceiling's display label.
-func (c *ceilingTime) name(opts BuildOptions) string {
-	switch c.res {
-	case ResCompute:
-		return "Compute: " + units.Flops(c.vol).String() + " @ " + units.FlopRate(c.peak).String()
-	case ResOverhead:
-		name := opts.OverheadName
-		if name == "" {
-			name = "Control-flow overhead"
-		}
-		return fmt.Sprintf("%s: %.4gs/task", name, opts.OverheadSeconds)
+// ceilingName renders the display label of resource res's ceiling at load l.
+func ceilingName(res Resource, l Load) string {
+	if res == ResCompute {
+		return "Compute: " + units.Flops(l.Vol).String() + " @ " + units.FlopRate(l.Peak).String()
 	}
-	vol, peak := units.Bytes(c.vol).String(), units.ByteRate(c.peak).String()
-	switch c.res {
+	vol, peak := units.Bytes(l.Vol).String(), units.ByteRate(l.Peak).String()
+	switch res {
 	case ResMemory:
 		return "Memory: " + vol + " @ " + peak
 	case ResPCIe:

@@ -297,19 +297,6 @@ func TestEfficiencyAndHeadroom(t *testing.T) {
 	}
 }
 
-func TestSortCeilings(t *testing.T) {
-	m := fig1Model(t)
-	sorted := m.SortCeilings(1)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].TPSAt(1) > sorted[i].TPSAt(1) {
-			t.Errorf("ceilings not sorted at index %d", i)
-		}
-	}
-	if sorted[0].Resource != ResNetwork {
-		t.Errorf("most restrictive at p=1 should be network, got %v", sorted[0].Resource)
-	}
-}
-
 func TestTargetLines(t *testing.T) {
 	var nilT *TargetLines
 	if nilT.MakespanTPS() != 0 {

@@ -173,6 +173,94 @@ func (m *Machine) FSBandwidth(partition string) (units.ByteRate, error) {
 	return 0, fmt.Errorf("machine: %s has no file-system bandwidth for partition %q", m.Name, partition)
 }
 
+// ExternalPeak returns the external bandwidth in effect: override when it is
+// positive (a contention scenario), the machine's ExternalBW otherwise.
+func (m *Machine) ExternalPeak(override units.ByteRate) units.ByteRate {
+	if override > 0 {
+		return override
+	}
+	return m.ExternalBW
+}
+
+// Peaks are the rates Eq. (1) divides one partition's work by: the node
+// peaks, which each node of a task has to itself, and the shared peaks,
+// which every task on the partition draws from. A non-positive peak is a
+// resource the partition lacks; work on it is a *NoPeakError.
+// Machine.Peaks is the one place that decides them, so the roofline model,
+// the pipeline bound and the simulator move every byte at the same rate.
+type Peaks struct {
+	// Machine and Partition name where the peaks hold.
+	Machine, Partition string
+	// Nodes is the partition's node count.
+	Nodes int
+	// Per-node peaks. Mem is the NUMA-aware EffectiveMemBW.
+	Flops units.FlopRate
+	Mem   units.ByteRate
+	PCIe  units.ByteRate
+	NIC   units.ByteRate
+	// Aggregate shared peaks. FS falls back to the burst buffer (see
+	// FSBandwidth); External is after the override; Bisection is zero on a
+	// full-bisection fabric, which limits nothing.
+	FS, External, Bisection units.ByteRate
+}
+
+// Peaks resolves the named partition's peaks, with external overriding the
+// machine's external bandwidth when positive. It fails only for an unknown
+// partition.
+func (m *Machine) Peaks(partition string, external units.ByteRate) (Peaks, error) {
+	p, err := m.Partition(partition)
+	if err != nil {
+		return Peaks{}, err
+	}
+	fs, _ := m.FSBandwidth(partition) // absent: a zero peak, reported on use
+	return Peaks{
+		Machine:   m.Name,
+		Partition: p.Name,
+		Nodes:     p.Nodes,
+		Flops:     p.NodeFlops,
+		Mem:       p.EffectiveMemBW(),
+		PCIe:      p.NodePCIeBW,
+		NIC:       p.NodeNICBW,
+		FS:        fs,
+		External:  m.ExternalPeak(external),
+		Bisection: m.BisectionBW[partition],
+	}, nil
+}
+
+// NoPeak returns the error for workflow's work on resource, which the
+// partition has no peak for.
+func (pk *Peaks) NoPeak(workflow, resource string) error {
+	return &NoPeakError{Workflow: workflow, Resource: resource, Machine: pk.Machine, Partition: pk.Partition}
+}
+
+// NoPeakError reports work on a resource the partition has no peak for.
+// The roofline model, the pipeline bound and the simulator report this one
+// error, each behind its package prefix.
+type NoPeakError struct {
+	Workflow string
+	// Resource is "compute", "memory", "pcie", "network", "filesystem" or
+	// "external", as core.Resource names it.
+	Resource           string
+	Machine, Partition string
+}
+
+func (e *NoPeakError) Error() string {
+	does, peak := "moves "+e.Resource+" data", e.Resource+" bandwidth"
+	switch e.Resource {
+	case "compute":
+		does, peak = "computes", "compute peak"
+	case "pcie":
+		does, peak = "moves PCIe data", "PCIe bandwidth"
+	case "network":
+		peak = "NIC bandwidth"
+	case "filesystem":
+		does, peak = "moves file-system data", "file-system bandwidth"
+	case "external":
+		does = "stages external data"
+	}
+	return "workflow " + e.Workflow + " " + does + " but partition " + e.Machine + "/" + e.Partition + " has no " + peak
+}
+
 // Validate checks internal consistency: every partition must have a positive
 // node count and at least one positive node-level peak, and file-system
 // entries must reference existing partitions.

@@ -9,73 +9,12 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 
+	"wroofline/internal/core"
 	"wroofline/internal/machine"
 	"wroofline/internal/report"
-	"wroofline/internal/units"
 	"wroofline/internal/workflow"
 )
-
-// TaskBoundSeconds returns the roofline lower bound for one task: the
-// maximum over its work components of time-at-peak (the slowest single
-// resource bounds the task, all else can overlap in the best case). Memory
-// moves at the partition's effective (NUMA-aware) bandwidth, the peak the
-// roofline model and the simulator use.
-func TaskBoundSeconds(m *machine.Machine, partition string, t *workflow.Task) (float64, error) {
-	part, err := m.Partition(partition)
-	if err != nil {
-		return 0, err
-	}
-	bound := 0.0
-	consider := func(secs float64, what string) error {
-		if math.IsInf(secs, 1) {
-			return fmt.Errorf("pipeline: task %q uses %s but the machine has no peak for it", t.ID, what)
-		}
-		if secs > bound {
-			bound = secs
-		}
-		return nil
-	}
-	if t.Work.Flops > 0 {
-		if err := consider(units.TimeToCompute(t.Work.Flops, part.NodeFlops), "compute"); err != nil {
-			return 0, err
-		}
-	}
-	if t.Work.MemBytes > 0 {
-		if err := consider(units.TimeToMove(t.Work.MemBytes, part.EffectiveMemBW()), "memory"); err != nil {
-			return 0, err
-		}
-	}
-	if t.Work.PCIeBytes > 0 {
-		if err := consider(units.TimeToMove(t.Work.PCIeBytes, part.NodePCIeBW), "pcie"); err != nil {
-			return 0, err
-		}
-	}
-	if t.Work.NetworkBytes > 0 {
-		if err := consider(units.TimeToMove(t.Work.NetworkBytes, part.NodeNICBW), "network"); err != nil {
-			return 0, err
-		}
-	}
-	if t.Work.FSBytes > 0 {
-		fsBW, err := m.FSBandwidth(partition)
-		if err != nil {
-			return 0, err
-		}
-		if err := consider(units.TimeToMove(t.Work.FSBytes, fsBW), "filesystem"); err != nil {
-			return 0, err
-		}
-	}
-	if t.Work.ExternalBytes > 0 {
-		if m.ExternalBW <= 0 {
-			return 0, fmt.Errorf("pipeline: task %q stages external data but the machine has no external bandwidth", t.ID)
-		}
-		if err := consider(units.TimeToMove(t.Work.ExternalBytes, m.ExternalBW), "external"); err != nil {
-			return 0, err
-		}
-	}
-	return bound, nil
-}
 
 // LevelStat summarizes one DAG level.
 type LevelStat struct {
@@ -88,8 +27,9 @@ type LevelStat struct {
 	// Waves is how many scheduling waves the level needs under the
 	// parallelism wall: ceil(Width / wall-for-this-level's-tasks).
 	Waves int
-	// BoundSeconds is the model lower bound for the level: Waves x the
-	// slowest task bound in the level.
+	// BoundSeconds is the level-sum estimate for the level: Waves x the
+	// slowest task bound in the level, where a task's bound is its slowest
+	// resource at peak (core.TaskLoads), all else overlapping.
 	BoundSeconds float64
 	// MeasuredSeconds is the slowest measured task time in the level times
 	// Waves (0 when no task carries a measurement).
@@ -102,8 +42,10 @@ type LevelStat struct {
 type Analysis struct {
 	// Levels in execution order.
 	Levels []LevelStat
-	// BoundMakespan is the sum of level bounds — the pipeline-aware lower
-	// bound on the makespan.
+	// BoundMakespan is the sum of level bounds — the pipeline-aware
+	// level-sum estimate of the makespan. It is not a lower bound: the
+	// slowest tasks of different levels may sit on different branches and
+	// overlap, so a run can finish sooner.
 	BoundMakespan float64
 	// MeasuredMakespan is the sum of measured level times (0 when no
 	// measurements are present).
@@ -113,8 +55,8 @@ type Analysis struct {
 	BottleneckLevel int
 }
 
-// PipelineEfficiency returns BoundMakespan / MeasuredMakespan in (0, 1]; 0
-// when there are no measurements.
+// PipelineEfficiency returns BoundMakespan / MeasuredMakespan; 0 when there
+// are no measurements.
 func (a *Analysis) PipelineEfficiency() float64 {
 	if a.MeasuredMakespan <= 0 {
 		return 0
@@ -129,11 +71,11 @@ func Analyze(m *machine.Machine, w *workflow.Workflow, availableNodes int) (*Ana
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := m.Partition(w.Partition)
+	pk, err := m.Peaks(w.Partition, 0)
 	if err != nil {
 		return nil, err
 	}
-	nodes := part.Nodes
+	nodes := pk.Nodes
 	if availableNodes > 0 {
 		nodes = availableNodes
 	}
@@ -153,9 +95,13 @@ func Analyze(m *machine.Machine, w *workflow.Workflow, availableNodes int) (*Ana
 			if err != nil {
 				return nil, err
 			}
-			b, err := TaskBoundSeconds(m, w.Partition, t)
+			loads, err := core.TaskLoads(w.Name, t.Work, t.Nodes, &pk)
 			if err != nil {
 				return nil, err
+			}
+			b := 0.0
+			for _, l := range loads {
+				b = max(b, l.Time)
 			}
 			if b > maxBound {
 				maxBound = b

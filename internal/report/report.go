@@ -24,9 +24,6 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, headers: headers}
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // AddRow appends a row; the cell count must match the header count.
 func (t *Table) AddRow(cells ...string) error {
 	if len(cells) != len(t.headers) {

@@ -26,8 +26,8 @@ func TestAddRowValidation(t *testing.T) {
 	if err := tb.AddRowf("1", "2", "3"); err == nil {
 		t.Error("long row should fail")
 	}
-	if tb.NumRows() != 0 {
-		t.Errorf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 0 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestHeaders(t *testing.T) {
 	if !strings.Contains(string(data), `"headers":["Scenario","Loading (s)","Analysis (s)"]`) {
 		t.Errorf("headers not encoded in order: %s", data)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }

@@ -55,18 +55,10 @@ func (p *Plan) computeAnalytic() {
 	// event; zero-byte external/FS phases complete synchronously without
 	// one. (Non-zero external/FS phases are excluded above.)
 	var events uint64
-	for i, prog := range p.programs {
-		off := p.phOff[i]
-		for j := range prog {
-			switch prog[j].Kind {
-			case PhaseExternal, PhaseFS:
-			default:
+	for _, prog := range p.programs {
+		for _, ph := range prog {
+			if ph.Kind != PhaseExternal && ph.Kind != PhaseFS {
 				events++
-				if math.IsNaN(p.slotSec[off+j]) {
-					// The duration errors (or is NaN): the event loop
-					// reports it; stay on it.
-					return
-				}
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wroofline/internal/core"
 	"wroofline/internal/machine"
-	"wroofline/internal/pipeline"
 	"wroofline/internal/wfgen"
 )
 
@@ -62,9 +62,9 @@ func newBoundCase(fam, mach, part, width, depth, nodes, cv uint8, payload bool, 
 
 // checkMakespanBound simulates the case and returns an error when its
 // makespan falls below the longest dependency path weighted by each task's
-// roofline bound (pipeline.TaskBoundSeconds): no task can finish faster
-// than its slowest resource at peak, and no task starts before its
-// predecessors end, so the simulator may never beat that path.
+// roofline bound, its slowest resource at peak (core.TaskLoads): no task
+// can finish faster than that, and no task starts before its predecessors
+// end, so the simulator may never beat that path.
 func checkMakespanBound(c boundCase) error {
 	m, err := machine.ByName(c.machine)
 	if err != nil {
@@ -83,10 +83,18 @@ func checkMakespanBound(c boundCase) error {
 	if err != nil {
 		return err
 	}
+	pk, err := m.Peaks(c.partition, 0)
+	if err != nil {
+		return err
+	}
 	weight := make(map[string]float64, wf.TotalTasks())
 	for _, t := range wf.Tasks() {
-		if weight[t.ID], err = pipeline.TaskBoundSeconds(m, c.partition, t); err != nil {
+		loads, err := core.TaskLoads(wf.Name, t.Work, t.Nodes, &pk)
+		if err != nil {
 			return err
+		}
+		for _, l := range loads {
+			weight[t.ID] = max(weight[t.ID], l.Time)
 		}
 	}
 	_, path, err := wf.Graph().CriticalPath(weight)

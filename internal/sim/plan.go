@@ -38,9 +38,9 @@ type Plan struct {
 	slotTask []int32   // the task index owning each phase slot
 	slots    int       // total phase slots (phOff[len(tasks)])
 	// slotSec is each node phase slot's nominal duration (nodePhaseSeconds
-	// of the program's phase), NaN where that errors; external and FS slots
-	// hold 0. Attempts that run the nominal program read it instead
-	// of recomputing the duration per phase per trial.
+	// of the program's phase); external and FS slots hold 0. Attempts that
+	// run the nominal program read it instead of recomputing the duration
+	// per phase per trial.
 	slotSec []float64
 
 	needExternal bool
@@ -82,7 +82,7 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := cfg.Machine.Partition(wf.Partition)
+	pk, err := cfg.Machine.Peaks(wf.Partition, cfg.ExternalBW)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func Compile(wf *workflow.Workflow, programs map[string]Program, cfg Config) (*P
 	}
 	tasks := wf.Tasks()
 	var s Shape
-	if err := s.init(graphOf(wf, tasks), part, cfg); err != nil {
+	if err := s.init(graphOf(wf, tasks), pk, cfg); err != nil {
 		return nil, err
 	}
 	work := make([]workflow.Work, len(tasks))
@@ -122,14 +122,11 @@ func (p *Plan) resolveTrial(trial Trial) (fm *failure.Model, externalBW, externa
 		return nil, 0, 0, fmt.Errorf("sim: failure model needs positive max attempts, got %d", fm.Retry.MaxAttempts)
 	}
 
-	externalBW, externalCap = p.externalBW, p.externalCap
+	externalBW, externalCap = float64(p.peaks.External), float64(p.cfg.ExternalPerFlowCap)
 	if trial.OverrideExternal {
-		ext := p.cfg.Machine.ExternalBW
-		if trial.ExternalBW > 0 {
-			ext = trial.ExternalBW
-		}
+		ext := p.cfg.Machine.ExternalPeak(trial.ExternalBW)
 		if p.needExternal && ext <= 0 {
-			return nil, 0, 0, fmt.Errorf("sim: workflow %s stages external data but no external bandwidth is configured", p.name)
+			return nil, 0, 0, fmt.Errorf("sim: %w", p.peaks.NoPeak(p.name, "external"))
 		}
 		externalBW = float64(ext)
 		externalCap = float64(trial.ExternalPerFlowCap)
@@ -321,13 +318,13 @@ func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap 
 	r.eng.Reset()
 	r.eng.MaxEvents = p.maxEvents
 	if r.pool == nil {
-		pool, err := resources.NewPool(r.eng, p.part.Name, p.nodes)
+		pool, err := resources.NewPool(r.eng, p.peaks.Partition, p.nodes)
 		if err != nil {
 			return err
 		}
 		r.pool = pool
 	} else {
-		r.pool.Name = p.part.Name
+		r.pool.Name = p.peaks.Partition
 		if err := r.pool.Reset(p.nodes); err != nil {
 			return err
 		}
@@ -340,12 +337,12 @@ func (r *trialRun) simulate(p *Plan, fm *failure.Model, externalBW, externalCap 
 		}
 	}
 	if p.needFS {
-		if r.fs, err = r.link(&r.fsLink, "filesystem", p.fsBW, p.fsCap); err != nil {
+		if r.fs, err = r.link(&r.fsLink, "filesystem", float64(p.peaks.FS), float64(p.cfg.FSPerFlowCap)); err != nil {
 			return err
 		}
 	}
 	if p.needBis {
-		if r.bis, err = r.link(&r.bisLink, "bisection", p.bisBW, 0); err != nil {
+		if r.bis, err = r.link(&r.bisLink, "bisection", float64(p.peaks.Bisection), 0); err != nil {
 			return err
 		}
 	}
@@ -597,11 +594,10 @@ func (r *trialRun) dispatch(i int, ph *Phase, k int) {
 
 // phaseSeconds is node phase slot k's duration: the plan's precomputed
 // slotSec while the attempt runs the nominal program, nodePhaseSeconds for
-// scaled attempts and for slots whose duration errors (so the error text is
-// the one nodePhaseSeconds reports).
+// scaled attempts.
 func (r *trialRun) phaseSeconds(i int, ph *Phase, k int) (float64, error) {
-	if d := r.plan.slotSec[k]; !math.IsNaN(d) && r.states[i].nominal {
-		return d, nil
+	if r.states[i].nominal {
+		return r.plan.slotSec[k], nil
 	}
 	return r.plan.nodePhaseSeconds(i, ph)
 }
@@ -785,27 +781,27 @@ func (r *trialRun) joinDone(k int) {
 	}
 }
 
-// nodePhaseSeconds computes a node-local phase duration from the machine
-// peaks and the phase efficiency.
+// nodePhaseSeconds computes a node-local phase duration from the
+// partition's peaks and the phase efficiency.
 func (p *Plan) nodePhaseSeconds(i int, ph *Phase) (float64, error) {
 	var peakTime float64
+	var resource string
 	switch ph.Kind {
 	case PhaseNetwork:
-		peakTime = units.TimeToMove(ph.Bytes, p.part.NodeNICBW)
+		peakTime, resource = units.TimeToMove(ph.Bytes, p.peaks.NIC), "network"
 	case PhasePCIe:
-		peakTime = units.TimeToMove(ph.Bytes, p.part.NodePCIeBW)
+		peakTime, resource = units.TimeToMove(ph.Bytes, p.peaks.PCIe), "pcie"
 	case PhaseMemory:
-		peakTime = units.TimeToMove(ph.Bytes, p.memBW)
+		peakTime, resource = units.TimeToMove(ph.Bytes, p.peaks.Mem), "memory"
 	case PhaseCompute:
-		peakTime = units.TimeToCompute(ph.Flops, p.part.NodeFlops)
+		peakTime, resource = units.TimeToCompute(ph.Flops, p.peaks.Flops), "compute"
 	case PhaseFixed:
 		return ph.Seconds, nil
 	default:
 		return 0, fmt.Errorf("sim: task %q: unexpected node phase kind %v", p.ids[i], ph.Kind)
 	}
 	if math.IsInf(peakTime, 1) {
-		return 0, fmt.Errorf("sim: task %q phase %q uses a resource with zero peak on partition %q",
-			p.ids[i], ph.label(), p.part.Name)
+		return 0, fmt.Errorf("sim: %w", p.peaks.NoPeak(p.name, resource))
 	}
 	return peakTime / ph.eff(), nil
 }

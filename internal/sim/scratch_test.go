@@ -114,7 +114,7 @@ func scratchCases(t *testing.T) []scratchCase {
 	var ext, fs, bis, gpu bool
 	for _, c := range out {
 		ext, fs, bis = ext || c.p.needExternal, fs || c.p.needFS, bis || c.p.needBis
-		gpu = gpu || c.p.part.Name == machine.PartGPU
+		gpu = gpu || c.p.peaks.Partition == machine.PartGPU
 	}
 	if !ext || !fs || !bis || !gpu {
 		t.Fatalf("cases miss a link or partition: external %v fs %v bisection %v gpu %v", ext, fs, bis, gpu)
@@ -182,8 +182,8 @@ func TestSharedScratchAcrossPlans(t *testing.T) {
 					t.Fatalf("round %d %s trial %d: shared scratch diverged from a fresh one (err %q, want %q)",
 						round, c.name, ti, errString(err), want.err)
 				}
-				if shared.pool.Name != c.p.part.Name {
-					t.Fatalf("%s: pool named %q, want partition %q", c.name, shared.pool.Name, c.p.part.Name)
+				if shared.pool.Name != c.p.peaks.Partition {
+					t.Fatalf("%s: pool named %q, want partition %q", c.name, shared.pool.Name, c.p.peaks.Partition)
 				}
 				if res, err = c.p.Run(trial); errString(err) != want.err || !sameResult(res, want.res) {
 					t.Fatalf("round %d %s trial %d: pooled Run diverged from a fresh scratch", round, c.name, ti)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"wroofline/internal/failure"
@@ -30,7 +29,7 @@ type Graph struct {
 
 // Shape is the work-free half of a compiled plan: the tasks in plan order
 // with their IDs, node counts and fault-stream hashes, the dependency
-// structure, the partition and the link geometry. Bind adds a work vector
+// structure, and the partition's peaks. Bind adds a work vector
 // per task to make a runnable Plan, so one Shape serves every scenario that
 // differs only in work — a corpus template's seeds and variations. A Shape
 // is immutable and safe for concurrent Bind calls; Compile is NewShape then
@@ -40,15 +39,14 @@ type Shape struct{ shape }
 // shape is Shape's state; Plan embeds a copy, so the event loop reads the
 // shape's tables directly.
 type shape struct {
-	name string
-	cfg  Config
-	part *machine.Partition
+	name  string
+	cfg   Config
+	peaks machine.Peaks // after cfg.ExternalBW
 
 	nodes        int
 	maxTaskNodes int
 	sumNodes     int
 	total        int
-	memBW        units.ByteRate // partition EffectiveMemBW, resolved once
 	maxEvents    uint64
 
 	ids       []string // ascending
@@ -58,15 +56,9 @@ type shape struct {
 	succOff   []int32  // successors of task i: succ[succOff[i]:succOff[i+1]]
 	succ      []int32
 
-	// The shared links' geometry, or the error a plan that needs the link
+	// The error a plan that needs the external or file-system link
 	// reports: which links a plan needs depends on its work (see bind).
-	externalBW, externalCap float64
-	externalErr             error
-	fsBW, fsCap             float64
-	fsErr                   error
-	bisBW                   float64
-	hasBis                  bool // the fabric has a bisection limit
-	bisErr                  error
+	externalErr, fsErr error
 }
 
 // NewShape validates the graph's partition and node requirements against
@@ -77,20 +69,20 @@ func NewShape(g Graph, cfg Config) (*Shape, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sim: nil machine")
 	}
-	part, err := cfg.Machine.Partition(g.Partition)
+	pk, err := cfg.Machine.Peaks(g.Partition, cfg.ExternalBW)
 	if err != nil {
 		return nil, err
 	}
 	s := new(Shape)
-	if err := s.init(g, part, cfg); err != nil {
+	if err := s.init(g, pk, cfg); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// init fills the shape from a graph on a resolved partition.
-func (s *Shape) init(g Graph, part *machine.Partition, cfg Config) error {
-	nodes := part.Nodes
+// init fills the shape from a graph on a partition's resolved peaks.
+func (s *Shape) init(g Graph, pk machine.Peaks, cfg Config) error {
+	nodes := pk.Nodes
 	if cfg.AvailableNodes > 0 {
 		nodes = cfg.AvailableNodes
 	}
@@ -113,12 +105,11 @@ func (s *Shape) init(g Graph, part *machine.Partition, cfg Config) error {
 	s.shape = shape{
 		name:         g.Name,
 		cfg:          cfg,
-		part:         part,
+		peaks:        pk,
 		nodes:        nodes,
 		maxTaskNodes: maxTaskNodes,
 		sumNodes:     sumNodes,
 		total:        n,
-		memBW:        part.EffectiveMemBW(),
 		maxEvents:    cfg.MaxEvents,
 		ids:          g.IDs,
 		taskNodes:    g.Nodes,
@@ -137,27 +128,19 @@ func (s *Shape) init(g Graph, part *machine.Partition, cfg Config) error {
 		s.preds[v]++
 	}
 
-	ext := cfg.Machine.ExternalBW
-	if cfg.ExternalBW > 0 {
-		ext = cfg.ExternalBW
-	}
-	if ext <= 0 {
-		s.externalErr = fmt.Errorf("sim: workflow %s stages external data but no external bandwidth is configured", g.Name)
-	} else {
-		s.externalErr = resources.CheckLink("external", float64(ext), float64(cfg.ExternalPerFlowCap))
-	}
-	s.externalBW, s.externalCap = float64(ext), float64(cfg.ExternalPerFlowCap)
-	fsBW, err := cfg.Machine.FSBandwidth(g.Partition)
-	if err == nil {
-		err = resources.CheckLink("filesystem", float64(fsBW), float64(cfg.FSPerFlowCap))
-	}
-	s.fsBW, s.fsCap, s.fsErr = float64(fsBW), float64(cfg.FSPerFlowCap), err
-	bisBW, ok := cfg.Machine.BisectionBW[g.Partition]
-	s.hasBis, s.bisBW = ok, float64(bisBW)
-	if ok {
-		s.bisErr = resources.CheckLink("bisection", float64(bisBW), 0)
-	}
+	s.externalErr = s.linkErr("external", pk.External, cfg.ExternalPerFlowCap)
+	s.fsErr = s.linkErr("filesystem", pk.FS, cfg.FSPerFlowCap)
 	return nil
+}
+
+// linkErr is the error a plan needing the shared link of resource reports:
+// the named error when the partition has no peak for it, else the link's
+// own check of its geometry.
+func (s *shape) linkErr(resource string, peak, perFlowCap units.ByteRate) error {
+	if peak <= 0 {
+		return fmt.Errorf("sim: %w", s.peaks.NoPeak(s.name, resource))
+	}
+	return resources.CheckLink(resource, float64(peak), float64(perFlowCap))
 }
 
 // graphOf returns the index form of a validated workflow whose tasks, in
@@ -262,6 +245,14 @@ func (s *Shape) bind(p *Plan, work []workflow.Work, custom map[string]Program) e
 	}
 	p.slab = slab
 	p.phOff[n] = p.slots
+	if p.needExternal && s.externalErr != nil {
+		return s.externalErr
+	}
+	if p.needFS && s.fsErr != nil {
+		return s.fsErr
+	}
+	p.needBis = s.peaks.Bisection > 0 && hasNetwork
+
 	p.slotTask = fit(p.slotTask, p.slots)
 	p.slotSec = fit(p.slotSec, p.slots)
 	for i, prog := range p.programs {
@@ -274,22 +265,11 @@ func (s *Shape) bind(p *Plan, work []workflow.Work, custom map[string]Program) e
 			default:
 				var err error
 				if d, err = p.nodePhaseSeconds(i, &prog[j]); err != nil {
-					d = math.NaN()
+					return err
 				}
 			}
 			p.slotSec[off+j] = d
 		}
-	}
-
-	if p.needExternal && s.externalErr != nil {
-		return s.externalErr
-	}
-	if p.needFS && s.fsErr != nil {
-		return s.fsErr
-	}
-	p.needBis = s.hasBis && hasNetwork
-	if p.needBis && s.bisErr != nil {
-		return s.bisErr
 	}
 	p.computeAnalytic()
 	return nil

@@ -38,7 +38,7 @@ func TestCorpusStudyDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("per-family table title = %q", one[0].Title)
 	}
 	// All five families cycle through 1000 scenarios: 200 each.
-	if got, want := one[0].NumRows(), len(wfgen.Families()); got != want {
+	if got, want := len(tableRows(t, one[0])), len(wfgen.Families()); got != want {
 		t.Errorf("per-family table has %d rows, want %d", got, want)
 	}
 }

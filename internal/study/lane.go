@@ -35,12 +35,13 @@ import (
 const maxCachedShapeTasks = 1024
 
 // corpusShape is one family's compiled corpus shape on a machine: the
-// generator topology and the plan half bound per scenario. It is immutable.
+// generator topology, the plan half bound per scenario and the partition's
+// peaks. It is immutable.
 type corpusShape struct {
-	topo      *wfgen.Topology
-	plan      *sim.Shape
-	partition string
-	nodes     int // every task's node requirement
+	topo  *wfgen.Topology
+	plan  *sim.Shape
+	peaks machine.Peaks
+	nodes int // every task's node requirement
 }
 
 // compileCorpusShape compiles the shape of a validated spec on m.
@@ -49,7 +50,14 @@ func compileCorpusShape(s *wfgen.Spec, m *machine.Machine) (*corpusShape, error)
 	if err != nil {
 		return nil, err
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	n := s.Normalized()
+	peaks, err := m.Peaks(n.Partition, 0)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]int, len(topo.IDs))
 	for i := range nodes {
 		nodes[i] = n.NodesPerTask
@@ -64,7 +72,7 @@ func compileCorpusShape(s *wfgen.Spec, m *machine.Machine) (*corpusShape, error)
 	if err != nil {
 		return nil, err
 	}
-	return &corpusShape{topo: topo, plan: plan, partition: n.Partition, nodes: n.NodesPerTask}, nil
+	return &corpusShape{topo: topo, plan: plan, peaks: peaks, nodes: n.NodesPerTask}, nil
 }
 
 // corpusLanes holds a request's per-family lane state. It is allocated on
@@ -125,7 +133,7 @@ func (f *laneFamily) get(s *wfgen.Spec, m *machine.Machine, plans *plancache.Cac
 // the reference path when a lane step fails. lane reports which ran.
 func (f *laneFamily) scenario(s *wfgen.Spec, m *machine.Machine, plans *plancache.Cache, i int, sc *laneScratch) (c corpusScenario, lane bool, err error) {
 	if cs := f.get(s, m, plans); cs != nil {
-		c, lane = cs.scenario(m, &f.vols, s.Seed, sc)
+		c, lane = cs.scenario(&f.vols, s.Seed, sc)
 	}
 	if !lane {
 		c, err = referenceScenario(s, m, i)
@@ -152,13 +160,13 @@ func (sc *laneScratch) put() {
 
 // scenario draws, bounds, binds and simulates one seed of the shape's
 // family on sc. ok is false when any step fails.
-func (cs *corpusShape) scenario(m *machine.Machine, vols *wfgen.Volumes, seed uint64, sc *laneScratch) (out corpusScenario, ok bool) {
+func (cs *corpusShape) scenario(vols *wfgen.Volumes, seed uint64, sc *laneScratch) (out corpusScenario, ok bool) {
 	sc.work = cs.topo.Draw(vols, seed, sc.work)
 	var heaviest workflow.Work
 	for _, w := range sc.work {
 		heaviest = heaviest.Max(w)
 	}
-	bound, limit, err := core.WallBound(m, cs.partition, heaviest, cs.nodes)
+	bound, limit, err := core.WallBound(&cs.peaks, heaviest, cs.nodes)
 	if err != nil {
 		return out, false
 	}

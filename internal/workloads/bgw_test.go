@@ -90,8 +90,8 @@ func TestBGWNodeBound(t *testing.T) {
 	}
 	// The empirical dot is node (compute) bound: the binding ceiling at p=1
 	// is the GPU FLOPS diagonal, and the dot achieves ~42% of it.
-	if res := cs.Model.LimitingResource(1); res != core.ResCompute {
-		t.Errorf("limiting resource = %v, want compute", res)
+	if _, c := cs.Model.Bound(1); c.Resource != core.ResCompute {
+		t.Errorf("limiting resource = %v, want compute", c.Resource)
 	}
 	eff := cs.Model.Efficiency(cs.Points[0])
 	if !almost(eff, 0.42, 0.02) {

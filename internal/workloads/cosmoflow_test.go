@@ -31,8 +31,8 @@ func TestCosmoModelShape(t *testing.T) {
 	// At the wall the binding resource is node memory (HBM): 12/4.2 = 2.857
 	// epochs/s vs the FS horizontal at 2.8 — the two nearly coincide, with
 	// HBM binding just below the FS line only for p < 12.
-	if res := cs.Model.LimitingResource(6); res != core.ResMemory {
-		t.Errorf("limiting resource at 6 instances = %v, want memory (HBM)", res)
+	if _, c := cs.Model.Bound(6); c.Resource != core.ResMemory {
+		t.Errorf("limiting resource at 6 instances = %v, want memory (HBM)", c.Resource)
 	}
 	bound, _ := cs.Model.BoundAtWall()
 	if !almost(bound, 2.8, 0.03) {

@@ -67,8 +67,8 @@ func TestLCLSCoriDotsOnExternalCeiling(t *testing.T) {
 		t.Errorf("good/bad ratio = %v, want ~5 (contention factor)", ratio)
 	}
 	// The limiting resource at p=5 is the external path.
-	if res := cs.Model.LimitingResource(5); res != core.ResExternal {
-		t.Errorf("limiting resource = %v, want external", res)
+	if _, c := cs.Model.Bound(5); c.Resource != core.ResExternal {
+		t.Errorf("limiting resource = %v, want external", c.Resource)
 	}
 }
 

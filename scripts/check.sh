@@ -118,6 +118,23 @@ else
     fail=1
 fi
 
+# The peak arithmetic wall guards the one peak table (machine.Peaks and
+# core.TaskLoads): a one-task workflow's simulated makespan must be the sum
+# of its per-resource times at peak and its pipeline bound their max, on
+# every partition of the built-in machines; work on a resource with no peak
+# must fail with the one named error in the model, the pipeline bound and
+# the simulator; and no simulated makespan may beat the roofline-weighted
+# critical path. The allocation floors of the code that reads the peaks run
+# again without -race, which drops pooled objects and would void the counts.
+echo "== peak arithmetic wall =="
+if go test -race ./internal/sim -run 'TestPeakTimesAgree|TestNoPeakErrorEveryLayer|TestSimMakespanAtLeastCriticalPath' -count=1 &&
+   go test -race ./internal/core ./internal/pipeline -count=1 &&
+   go test ./internal/study ./internal/sim -run 'TestCorpusLaneAllocs|TestCompileRunScalarAllocs|TestFailureBatchAllocs' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The corpus lane wall is the correctness proof for the shape-compiled
 # corpus lane: every lane scenario must equal Generate -> core.Build ->
 # sim.Compile -> RunScalar bit for bit (errors included), the generator must
