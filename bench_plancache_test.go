@@ -5,7 +5,7 @@
 // response layer. With the plan cache on, evaluation reuses the cached
 // scenario set; with it off, every request regenerates, rebuilds, and
 // re-analyzes the corpus from scratch. The before/after pair is frozen in
-// BENCH_9.json by scripts/bench.sh:
+// BENCH_9.json by `go run ./scripts/bench`:
 //
 //	go test . -run XXX -bench 'BenchmarkServe_SweepSeedVary' -benchmem
 package wroofline
@@ -49,7 +49,7 @@ func BenchmarkServe_SweepSeedVaryCold(b *testing.B) {
 // BenchmarkServe_SweepSeedVaryNoPlanCache is the baseline: identical
 // workload with the plan cache disabled, so each request pays full scenario
 // generation, model build, and analysis. The Cold/NoPlanCache ratio is the
-// cache's win, gated at >= 3x in scripts/bench.sh.
+// cache's win, gated at >= 3x in scripts/bench.
 func BenchmarkServe_SweepSeedVaryNoPlanCache(b *testing.B) {
 	runSeedVary(b, serve.Config{PlanCacheEntries: -1}, "/v1/sweep")
 }

@@ -183,3 +183,21 @@ func TestCorpusTemplateErrorOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusDefaultPartition: a corpus whose template names no partition
+// runs on the survey's default, so a machine without a cpu partition uses
+// its only one, byte for byte as if the template had named it.
+func TestCorpusDefaultPartition(t *testing.T) {
+	run := func(partition string) string {
+		spec := &Spec{Kind: "corpus", Machine: "cori", Count: 10,
+			Template: &wfgen.Spec{Width: 4, Depth: 2, Partition: partition}}
+		tables, err := RunStreamCached(context.Background(), spec, nil, nil)
+		if err != nil {
+			t.Fatalf("partition %q: %v", partition, err)
+		}
+		return renderTables(t, tables)
+	}
+	if a, b := run(""), run("haswell"); a != b {
+		t.Errorf("default partition changed the bytes:\n%s\nvs\n%s", a, b)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"wroofline/internal/report"
 	"wroofline/internal/sim"
 	"wroofline/internal/sweep"
+	"wroofline/internal/wfgen"
 )
 
 func failuresSpec(workers int) *Spec {
@@ -245,7 +246,7 @@ func TestFailuresUnfinishedBin(t *testing.T) {
 }
 
 // TestFailuresAllUnfinishedError: an ensemble that finishes no trial fails
-// as it always has, with trial 0's error from the first chunk.
+// with trial 0's error, named by its trial index.
 func TestFailuresAllUnfinishedError(t *testing.T) {
 	for _, batch := range []int{0, 5} {
 		spec := &Spec{
@@ -256,10 +257,44 @@ func TestFailuresAllUnfinishedError(t *testing.T) {
 		if err == nil || !errors.Is(err, sim.ErrPermanentFailure) {
 			t.Fatalf("batch %d: err = %v, want a permanent failure", batch, err)
 		}
-		chunk := sweep.ChunkSize(spec.Trials, 1, batch)
-		prefix := fmt.Sprintf("sweep: trials [0,%d): sim: trial 0: sim: task ", chunk)
+		const prefix = "sweep: trial 0: sim: trial 0: sim: task "
 		if !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), "failed permanently after 2 attempts") {
 			t.Errorf("batch %d: err = %q, want %q...", batch, err, prefix)
+		}
+	}
+}
+
+// TestEnsembleErrorBytesAcrossGeometry: a failing ensemble reports the same
+// error bytes at any worker count and batch size — a corpus whose every
+// scenario is infeasible, and a failures ensemble that finishes no trial.
+func TestEnsembleErrorBytesAcrossGeometry(t *testing.T) {
+	specs := map[string]func(workers, batch int) *Spec{
+		"corpus": func(workers, batch int) *Spec {
+			return &Spec{Kind: "corpus", Machine: "perlmutter", Count: 80, Workers: workers, Batch: batch,
+				Template: &wfgen.Spec{NodesPerTask: 4000}}
+		},
+		"failures": func(workers, batch int) *Spec {
+			return &Spec{Kind: "failures", Case: "lcls-cori", Trials: 40, Seed: 7, Workers: workers, Batch: batch,
+				Failure: &failure.Spec{TaskFailProb: 0.99, Retry: &failure.RetrySpec{MaxAttempts: 2}}}
+		},
+	}
+	for kind, spec := range specs {
+		var want string
+		for _, workers := range []int{1, 2, 4} {
+			for _, batch := range []int{0, 1, 7} {
+				_, err := RunStreamCached(context.Background(), spec(workers, batch), nil, nil)
+				if err == nil {
+					t.Fatalf("%s workers=%d batch=%d: want an error", kind, workers, batch)
+				}
+				if want == "" {
+					want = err.Error()
+					if !strings.HasPrefix(want, "sweep: trial 0: ") {
+						t.Errorf("%s: err = %q, want trial 0 named", kind, want)
+					}
+				} else if got := err.Error(); got != want {
+					t.Errorf("%s workers=%d batch=%d: err = %q, want %q", kind, workers, batch, got, want)
+				}
+			}
 		}
 	}
 }

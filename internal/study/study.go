@@ -373,7 +373,7 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 	// fault model seeded from (Seed, trial) — chunk geometry never touches
 	// the random streams, so outcomes match the per-trial path bit for bit.
 	// A chunk resumes after an unfinished trial; trial 0's error, wrapped
-	// the way the sweep wraps a failed chunk, is kept for the ensemble that
+	// the way the sweep wraps a failed trial, is kept for the ensemble that
 	// never finishes a trial.
 	var err0 error
 	trials, err := sweep.MapChunksProgress(ctx, spec.Trials, spec.Workers, spec.Batch,
@@ -399,7 +399,7 @@ func runFailures(ctx context.Context, spec *Spec, plans *plancache.Cache, emit f
 					end = start + te.Trial
 					out[end] = failureTrial{unfinished: true}
 					if lo+end == 0 {
-						err0 = fmt.Errorf("sweep: trials [%d,%d): %w", lo, hi, err)
+						err0 = fmt.Errorf("sweep: trial 0: %w", err)
 					}
 				}
 				for i := start; i < end; i++ {
@@ -659,10 +659,10 @@ func runSurvey(ctx context.Context, spec *Spec) ([]*report.Table, error) {
 	return []*report.Table{tbl, hist}, nil
 }
 
-// defaultPartition is the partition a survey runs on when its spec names
-// none: cpu when the machine has it, else the machine's only partition. A
-// machine with several partitions and no cpu keeps cpu, so the error lists
-// the partitions to choose from.
+// defaultPartition is the partition a survey or corpus runs on when its
+// spec names none: cpu when the machine has it, else the machine's only
+// partition. A machine with several partitions and no cpu keeps cpu, so the
+// error lists the partitions to choose from.
 func defaultPartition(m *machine.Machine) string {
 	if _, ok := m.Partitions[machine.PartCPU]; !ok && len(m.Partitions) == 1 {
 		for name := range m.Partitions {
@@ -713,6 +713,9 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 	var tmpl wfgen.Spec
 	if spec.Template != nil {
 		tmpl = *spec.Template
+	}
+	if tmpl.Partition == "" {
+		tmpl.Partition = defaultPartition(m)
 	}
 	// Validate one representative spec per family up front so template errors
 	// surface once, not Count times from inside the pool. The work
@@ -772,7 +775,7 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 				}
 				c, _, err := lanes.family(f, len(families)).scenario(&s, m, plans, i, scratch)
 				if err != nil {
-					return err
+					return &sweep.TrialError{Trial: i, Err: err}
 				}
 				out[j] = c
 				if plans != nil {

@@ -101,18 +101,25 @@ func TestMapChunksErrorsLowestChunkWins(t *testing.T) {
 		}
 		return nil
 	}, nil)
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
+	if err == nil || !errors.Is(err, boom) || err.Error() != "sweep: trial 4: chunk-level: boom" {
+		t.Fatalf("err = %v, want sweep: trial 4: chunk-level: boom", err)
 	}
-	// With a single worker the failing range is fully deterministic.
-	_, err = MapChunksProgress(context.Background(), 64, 1, 10, func(_ context.Context, lo, hi int, out []int) error {
-		if lo >= 20 {
-			return boom
+	// A chunk that names its failing trial is reported by that trial, the
+	// same at any worker count and chunk size.
+	for _, workers := range []int{1, 2, 4} {
+		for _, chunk := range []int{1, 7, 10, 0} {
+			_, err = MapChunksProgress(context.Background(), 64, workers, chunk, func(_ context.Context, lo, hi int, out []int) error {
+				for i := lo; i < hi; i++ {
+					if i >= 23 {
+						return &TrialError{Trial: i, Err: boom}
+					}
+				}
+				return nil
+			}, nil)
+			if err == nil || !errors.Is(err, boom) || err.Error() != "sweep: trial 23: boom" {
+				t.Fatalf("workers=%d chunk=%d: err = %v, want sweep: trial 23: boom", workers, chunk, err)
+			}
 		}
-		return nil
-	}, nil)
-	if err == nil || err.Error() != "sweep: trials [20,30): boom" {
-		t.Fatalf("err = %v, want sweep: trials [20,30): boom", err)
 	}
 }
 
@@ -172,8 +179,8 @@ func TestMapChunksSingleWorkerInline(t *testing.T) {
 		}
 		return nil
 	}, nil)
-	if err == nil || err.Error() != "sweep: trials [30,40): boom" {
-		t.Fatalf("err = %v, want sweep: trials [30,40): boom", err)
+	if err == nil || err.Error() != "sweep: trial 30: boom" {
+		t.Fatalf("err = %v, want sweep: trial 30: boom", err)
 	}
 	if !reflect.DeepEqual(order, []int{0, 10, 20, 30}) {
 		t.Fatalf("chunks ran as %v, want [0 10 20 30]", order)

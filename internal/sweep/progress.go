@@ -15,10 +15,12 @@ import (
 // — clients derive per-trial randomness from TrialSeed(base, lo+i), never
 // from chunk geometry.
 //
-// The first chunk error cancels the remaining chunks and is returned
-// wrapped with the chunk's trial range; concurrent failures resolve to the
-// lowest-indexed chunk, keeping failure reports deterministic. A cancelled
-// parent context aborts the run and returns the context's error.
+// A failing chunk stops the claiming of later chunks; every chunk below it
+// still runs, so the run reports the lowest failing trial, wrapped as
+// "sweep: trial <i>: ", at any worker count and chunk size. A chunk names
+// its failing trial by returning a *TrialError; any other error is charged
+// to the chunk's first trial. A cancelled parent context aborts the run and
+// returns the context's error.
 //
 // A non-nil progress is a completion-frontier callback:
 // whenever the contiguous prefix of completed trials advances, progress is
@@ -36,29 +38,17 @@ import (
 // is one of the workers, so with one worker it is the caller — while the frontier lock is held: keep it short (snapshot a prefix,
 // notify a channel) and never call back into the sweep from inside it.
 func MapChunksProgress[T any](ctx context.Context, n, workers, chunk int, fn func(ctx context.Context, lo, hi int, out []T) error, progress func(done int, prefix []T)) ([]T, error) {
-	out, lo, hi, err := mapChunks(ctx, n, workers, chunk, fn, progress)
-	if lo >= 0 {
-		return nil, fmt.Errorf("sweep: trials [%d,%d): %w", lo, hi, err)
-	}
-	return out, err
-}
-
-// mapChunks is the one scheduler behind Map and MapChunksProgress. When a
-// chunk fails it returns that chunk's trial range [lo, hi) and its bare
-// error, so each face words the failure its own way; otherwise lo is -1 and
-// err is nil, a cancellation or an argument error.
-func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx context.Context, lo, hi int, out []T) error, progress func(done int, prefix []T)) ([]T, int, int, error) {
 	if n < 0 {
-		return nil, -1, -1, fmt.Errorf("sweep: trial count must be non-negative, got %d", n)
+		return nil, fmt.Errorf("sweep: trial count must be non-negative, got %d", n)
 	}
 	if fn == nil {
-		return nil, -1, -1, fmt.Errorf("sweep: nil chunk function")
+		return nil, fmt.Errorf("sweep: nil chunk function")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if n == 0 {
-		return []T{}, -1, -1, nil
+		return []T{}, nil
 	}
 	workers = Workers(workers)
 	chunk = ChunkSize(n, workers, chunk)
@@ -70,33 +60,26 @@ func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx co
 	out := make([]T, n)
 	var (
 		next    atomic.Int64
+		errAt   atomic.Int64 // lowest failing trial so far; n while none
 		mu      sync.Mutex
-		errLo   = -1
-		errHi   = -1
 		firstEr error
 		wg      sync.WaitGroup
 		fr      *frontier
 	)
+	errAt.Store(int64(n))
 	var emit func(done int)
 	if progress != nil {
 		fr = &frontier{done: make([]bool, nchunks), chunk: chunk, n: n}
 		emit = func(done int) { progress(done, out[:done]) }
 	}
-	// One worker needs no cancellation fan-out: it runs every chunk on the
-	// caller, in order, and the first failure ends its loop.
-	runCtx, cancel := ctx, func() {}
-	if workers > 1 {
-		runCtx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
 	next.Store(-1)
-	fail := func(lo, hi int, err error) {
+	fail := func(at int, err error) {
 		mu.Lock()
-		if firstEr == nil || lo < errLo {
-			errLo, errHi, firstEr = lo, hi, err
+		if at < int(errAt.Load()) {
+			errAt.Store(int64(at))
+			firstEr = err
 		}
 		mu.Unlock()
-		cancel()
 	}
 	// runChunk evaluates chunk c and advances the frontier; false means the
 	// chunk failed.
@@ -106,8 +89,12 @@ func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx co
 		if hi > n {
 			hi = n
 		}
-		if err := fn(runCtx, lo, hi, out[lo:hi]); err != nil {
-			fail(lo, hi, err)
+		if err := fn(ctx, lo, hi, out[lo:hi]); err != nil {
+			if te, ok := err.(*TrialError); ok {
+				fail(te.Trial, te.Err)
+			} else {
+				fail(lo, err)
+			}
 			return false
 		}
 		if fr != nil {
@@ -117,10 +104,13 @@ func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx co
 	}
 	// The caller is one of the workers: it runs the claim loop itself and
 	// only workers-1 goroutines join it, so a one-worker run starts none.
+	// Chunks are claimed in index order, so once a chunk fails every later
+	// claim lies above it and is skipped; a chunk below it was claimed
+	// earlier and runs to the end, so the lowest failing trial is found.
 	worker := func() {
 		for {
 			c := int(next.Add(1))
-			if c >= nchunks || runCtx.Err() != nil || !runChunk(c) {
+			if c >= nchunks || int(errAt.Load()) < c*chunk || ctx.Err() != nil || !runChunk(c) {
 				return
 			}
 		}
@@ -129,7 +119,7 @@ func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx co
 	// Racing workers could otherwise finish it last and jump the frontier
 	// from 0 straight to n; run first, it guarantees that a multi-chunk run
 	// reports a prefix below n before its final call.
-	if fr != nil && runCtx.Err() == nil {
+	if fr != nil && ctx.Err() == nil {
 		next.Store(0)
 		if !runChunk(0) {
 			workers = 0
@@ -147,13 +137,23 @@ func mapChunks[T any](ctx context.Context, n, workers, chunk int, fn func(ctx co
 	}
 	wg.Wait()
 	if firstEr != nil {
-		return nil, errLo, errHi, firstEr
+		return nil, fmt.Errorf("sweep: trial %d: %w", errAt.Load(), firstEr)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, -1, -1, fmt.Errorf("sweep: cancelled: %w", err)
+		return nil, fmt.Errorf("sweep: cancelled: %w", err)
 	}
-	return out, -1, -1, nil
+	return out, nil
 }
+
+// TrialError is a chunk function's failure at one trial: Trial is the
+// trial's absolute index in [0, n), Err its error. MapChunksProgress
+// reports it as "sweep: trial <Trial>: <Err>".
+type TrialError struct {
+	Trial int
+	Err   error
+}
+
+func (e *TrialError) Error() string { return fmt.Sprintf("trial %d: %v", e.Trial, e.Err) }
 
 // frontier tracks which chunks have completed and where the contiguous
 // completed prefix ends. Completion order is arbitrary (workers race), but

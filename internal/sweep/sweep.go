@@ -55,22 +55,18 @@ func Workers(n int) int {
 // results land by trial index and identical inputs produce identical
 // outputs at any worker count.
 //
-// The first trial error cancels the remaining trials and is returned
-// wrapped with its trial index; when several trials fail concurrently the
-// lowest-indexed error wins, keeping failure reports deterministic too. A
-// cancelled parent context aborts the run and returns the context's error.
+// A trial error stops the remaining trials and is returned wrapped with its
+// trial index; when several trials fail the lowest-indexed error wins,
+// keeping failure reports deterministic too. A cancelled parent context
+// aborts the run and returns the context's error.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, trial int) (T, error)) ([]T, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil trial function")
 	}
-	out, lo, _, err := mapChunks(ctx, n, workers, 1, func(ctx context.Context, lo, _ int, out []T) (err error) {
+	return MapChunksProgress(ctx, n, workers, 1, func(ctx context.Context, lo, _ int, out []T) (err error) {
 		out[0], err = fn(ctx, lo)
 		return err
 	}, nil)
-	if lo >= 0 {
-		return nil, fmt.Errorf("sweep: trial %d: %w", lo, err)
-	}
-	return out, err
 }
 
 // ChunkSize normalizes a batch-size request for MapChunksProgress. A positive

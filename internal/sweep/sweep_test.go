@@ -78,10 +78,9 @@ func TestMapErrorsLowestIndexWins(t *testing.T) {
 		}
 		return i, nil
 	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
+	if err == nil || !errors.Is(err, boom) || err.Error() != "sweep: trial 1: trial-level: boom" {
+		t.Fatalf("err = %v, want sweep: trial 1: trial-level: boom", err)
 	}
-	// With a single worker the error index is fully deterministic.
 	_, err = Map(context.Background(), 64, 1, func(_ context.Context, i int) (int, error) {
 		if i >= 5 {
 			return 0, boom
