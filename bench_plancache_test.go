@@ -23,20 +23,24 @@ const seedVarySpec = `{"kind":"corpus","machine":"perlmutter-numa","count":30,"s
 	`"template":{"width":5,"depth":3,"payload":"512 MB"}}`
 
 // runSeedVary drives one fresh-seeded sweep per iteration through the
-// handler at path (buffered /v1/sweep or streamed /v1/sweep/stream). Seeds
-// start high so the timed loop never collides with the priming request's
+// handler at path (buffered /v1/sweep or streamed /v1/sweep/stream) and
+// returns the progress events a request streamed, on average. Seeds start
+// high so the timed loop never collides with the priming request's
 // response-cache entry.
-func runSeedVary(b *testing.B, cfg serve.Config, path string) {
+func runSeedVary(b *testing.B, cfg serve.Config, path string) float64 {
 	s := serve.New(cfg)
 	h := s.Handler()
 	prime(b, h, "POST", "/v1/sweep", fmt.Sprintf(seedVarySpec, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
+	frames := 0
 	w := &discardResponseWriter{h: make(map[string][]string, 8)}
 	for i := 0; i < b.N; i++ {
 		br := newBenchRequest("POST", path, fmt.Sprintf(seedVarySpec, 1000+i))
 		br.do(b, h, w)
+		frames += w.frames
 	}
+	return float64(frames) / float64(b.N)
 }
 
 // BenchmarkServe_SweepSeedVaryCold measures the seed-vary workload with the
@@ -57,7 +61,9 @@ func BenchmarkServe_SweepSeedVaryNoPlanCache(b *testing.B) {
 // BenchmarkServe_SweepCorpusStream is the scan workload's corpus request
 // in-process: the seed-vary corpus, streamed over NDJSON, so every request
 // misses the response cache, hits the plan cache for every scenario and
-// pays keying, aggregation and response rendering.
+// pays keying, aggregation and response rendering. progress_frames/op
+// counts the streamed progress events: the throttle spends at least 64
+// trials on one, so this 30-scenario corpus streams exactly one.
 func BenchmarkServe_SweepCorpusStream(b *testing.B) {
-	runSeedVary(b, serve.Config{}, "/v1/sweep/stream")
+	b.ReportMetric(runSeedVary(b, serve.Config{}, "/v1/sweep/stream"), "progress_frames/op")
 }

@@ -12,6 +12,7 @@
 package wroofline
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,22 +24,33 @@ import (
 
 // discardResponseWriter is a reusable http.ResponseWriter that throws the
 // body away: the e2e suite already asserts the bytes, the benchmark only
-// wants the serving cost.
+// wants the serving cost. It counts the NDJSON progress events of a
+// streamed sweep, which the stream encoder sends one Write each.
 type discardResponseWriter struct {
-	h    http.Header
-	code int
-	n    int
+	h      http.Header
+	code   int
+	n      int
+	frames int
 }
 
-func (w *discardResponseWriter) Header() http.Header         { return w.h }
-func (w *discardResponseWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-func (w *discardResponseWriter) WriteHeader(code int)        { w.code = code }
+var progressFrame = []byte(`{"event":"progress",`)
+
+func (w *discardResponseWriter) Header() http.Header { return w.h }
+func (w *discardResponseWriter) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, progressFrame) {
+		w.frames++
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+func (w *discardResponseWriter) WriteHeader(code int) { w.code = code }
 
 // reset readies the writer for the next request without reallocating.
 func (w *discardResponseWriter) reset() {
 	clear(w.h)
 	w.code = 0
 	w.n = 0
+	w.frames = 0
 }
 
 // reusableBody is an io.ReadCloser over a strings.Reader that can be

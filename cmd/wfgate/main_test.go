@@ -249,7 +249,8 @@ func TestRunStreamsIncrementally(t *testing.T) {
 	}
 
 	// Big enough that evaluation takes a measurable while relative to the
-	// first snapshot (the throttle emits ~64 snapshots across the run).
+	// first snapshot. The throttle emits a snapshot when the first chunk
+	// lands, then one per 6250 or more further trials: at most 64 in all.
 	spec := `{"kind":"montecarlo","case":"lcls-cori","trials":400000,"seed":3,"batch":256,` +
 		`"sampler":{"model":"twostate","base":"1 GB/s","degraded":"0.2 GB/s","p_bad":0.4}}`
 	req, _ := http.NewRequest("POST", "http://"+addr+"/v1/sweep", strings.NewReader(spec))

@@ -200,6 +200,50 @@ func TestSweepStreamSSEFraming(t *testing.T) {
 	}
 }
 
+// TestSweepStreamFrameBudget pins the frame budget on the scan workload's
+// corpus request: a 30-scenario CV=0 corpus, served from the plan cache
+// after a warm request, streams exactly one progress event (the throttle
+// spends at least 64 trials on a frame) and then a result byte-identical to
+// the buffered body, over NDJSON and over SSE.
+func TestSweepStreamFrameBudget(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const corpus = `{"kind":"corpus","machine":"perlmutter-numa","count":30,"seed":%d,` +
+		`"template":{"width":5,"depth":3,"payload":"512 MB"}}`
+	if status, body, _ := post(t, ts.URL+"/v1/sweep", fmt.Sprintf(corpus, 1)); status != http.StatusOK {
+		t.Fatalf("warm request status %d: %s", status, body)
+	}
+	for i, tc := range []struct{ accept, progress, result string }{
+		{ContentTypeNDJSON, `{"event":"progress",`, `{"kind":`},
+		{ContentTypeSSE, "event: progress", "data: {\"kind\":"},
+	} {
+		spec := fmt.Sprintf(corpus, 1001+i)
+		status, buffered, _ := post(t, ts.URL+"/v1/sweep", spec)
+		if status != http.StatusOK {
+			t.Fatalf("buffered status %d: %s", status, buffered)
+		}
+		s.FlushCache()
+		resp, lines := streamLines(t, ts.URL+"/v1/sweep", spec, tc.accept)
+		if resp.Header.Get("X-Cache") != "cold" {
+			t.Fatalf("%s: X-Cache %q, want cold", tc.accept, resp.Header.Get("X-Cache"))
+		}
+		progress, final := 0, ""
+		for _, line := range lines {
+			if strings.HasPrefix(line, tc.progress) {
+				progress++
+			}
+			if strings.HasPrefix(line, tc.result) {
+				final = strings.TrimPrefix(line, "data: ")
+			}
+		}
+		if progress != 1 {
+			t.Errorf("%s: %d progress events, want exactly 1 for 30 trials", tc.accept, progress)
+		}
+		if want := strings.TrimSuffix(string(buffered), "\n"); final != want {
+			t.Errorf("%s: final line differs from buffered body:\n%s\nvs\n%s", tc.accept, final, want)
+		}
+	}
+}
+
 // TestSweepStreamDisconnectCancelsEval pins prompt cancellation: a client
 // abandoning a large streaming sweep mid-flight cancels the evaluation
 // (visible as a stream abort) instead of burning the slot to completion.

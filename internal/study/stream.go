@@ -27,12 +27,15 @@ type Progress struct {
 // streamed final results byte-identical to buffered ones.
 //
 // A non-nil emit receives partial makespan summaries as the completed-trial
-// frontier advances. Emission is throttled to at most ~64 snapshots per run,
-// calls are serial with strictly increasing Done, and Done < Total always
-// holds — the final aggregate is the returned tables, byte-identical to a
-// run with a nil emit, not a progress event. Only the ensemble kinds (montecarlo, failures, corpus) stream;
-// grid and survey produce their tables with no intermediate snapshots. A
-// nil emit streams nothing.
+// frontier advances. Emission is throttled: the first advance below Total
+// fires, then one snapshot per max(⌈Total/64⌉, 64) further trials, so a run
+// emits at most 64 snapshots and an ensemble of 64 trials or fewer exactly
+// one (none if its first advance completes it). Calls are serial with
+// strictly increasing Done, and Done < Total always holds — the final
+// aggregate is the returned tables, byte-identical to a run with a nil
+// emit, not a progress event. Only the ensemble kinds (montecarlo,
+// failures, corpus) stream; grid and survey produce their tables with no
+// intermediate snapshots. A nil emit streams nothing.
 //
 // emit runs on a sweep worker goroutine while the completion frontier is
 // locked: it must be brief and must not call back into the study.
@@ -63,21 +66,27 @@ func RunStreamCached(ctx context.Context, spec *Spec, plans *plancache.Cache, em
 }
 
 // progressThrottle picks which frontier advances become Progress events:
-// the first advance always fires (that is the time-to-first-result), then
-// one event per total/64 further trials, and the completed ensemble never
-// fires (the final tables carry it). Calls arrive serialized under the
-// sweep frontier lock, so no internal locking is needed.
+// the first advance below total always fires (that is the
+// time-to-first-result), then one event per max(⌈total/64⌉, minProgressStep)
+// further trials, and the completed ensemble never fires (the final tables
+// carry it). Consecutive events are at least one step apart and the last
+// lies below total, so a run emits at most 64 events. Calls arrive
+// serialized under the sweep frontier lock, so no internal locking is
+// needed.
 type progressThrottle struct {
 	total int
 	step  int
 	next  int
 }
 
+// minProgressStep is the fewest trials one progress event may stand for. A
+// snapshot summarizes the whole prefix and formats it, which costs about as
+// much as a plan-cache-hit trial, so a small ensemble streams one snapshot
+// rather than one per trial.
+const minProgressStep = 64
+
 func newProgressThrottle(total int) *progressThrottle {
-	step := total / 64
-	if step < 1 {
-		step = 1
-	}
+	step := max((total+63)/64, minProgressStep)
 	return &progressThrottle{total: total, step: step, next: 1}
 }
 

@@ -52,6 +52,7 @@ BenchmarkSweep_MonteCarlo/workers=1-2         	       3	   3000000 ns/op	       
 BenchmarkServe_HitParallel-4                  	  100000	      1500 ns/op	      16 B/op	       1 allocs/op
 BenchmarkServe_SweepStreamTTFR-2              	       1	  62000000 ns/op	        62.00 total_ms/op	         3.100 ttfr_ms/op	         5.000 ttfr_pct	 9000000 B/op	   80000 allocs/op
 BenchmarkAdmissionWFQ-2                       	 2000000	       400.0 ns/op	       0 B/op	       2 allocs/op
+BenchmarkServe_SweepCorpusStream-2            	   20000	     56000 ns/op	         1.000 progress_frames/op	   16847 B/op	     191 allocs/op
 some log line that is not a result
 PASS
 ok  	wroofline	3.2s
@@ -59,7 +60,7 @@ ok  	wroofline	3.2s
 
 func TestParseSuffixAndMetricKeys(t *testing.T) {
 	got := parse(canned, false)
-	want := []string{"BenchmarkSweep_MonteCarlo/workers=1", "BenchmarkServe_HitParallel", "BenchmarkServe_SweepStreamTTFR", "BenchmarkAdmissionWFQ"}
+	want := []string{"BenchmarkSweep_MonteCarlo/workers=1", "BenchmarkServe_HitParallel", "BenchmarkServe_SweepStreamTTFR", "BenchmarkAdmissionWFQ", "BenchmarkServe_SweepCorpusStream"}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d series, want %d", len(got), len(want))
 	}
@@ -80,6 +81,9 @@ func TestParseSuffixAndMetricKeys(t *testing.T) {
 	ttfr := got[2].After
 	if ttfr["ttfr_ms"] != 3.1 || ttfr["total_ms"] != 62 || ttfr["ttfr_pct"] != 5 {
 		t.Errorf("TTFR metrics = %v", ttfr)
+	}
+	if f := got[4].After["progress_frames"]; f != 1 {
+		t.Errorf("progress_frames = %v, want 1", f)
 	}
 
 	kept := parse(canned, true)
@@ -141,25 +145,27 @@ func TestCompareThresholds(t *testing.T) {
 		{Name: "ZeroOK", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0}},
 		{Name: "TTFR", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0, "ttfr_pct": 5.1}},
 		{Name: "TTFROK", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0, "ttfr_pct": 5}},
+		{Name: "Frames", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0, "progress_frames": 2}},
+		{Name: "FramesOK", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0, "progress_frames": 1}},
 		{Name: "Fresh", After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0}},
 	}
 	old := &doc{}
 	for _, n := range []string{"Slow", "SlowOK", "Allocs", "AllocsOK"} {
 		old.Results = append(old.Results, series{Name: n, After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 10}})
 	}
-	for _, n := range []string{"ZeroFloor", "ZeroOK", "TTFR", "TTFROK"} {
+	for _, n := range []string{"ZeroFloor", "ZeroOK", "TTFR", "TTFROK", "Frames", "FramesOK"} {
 		old.Results = append(old.Results, series{Name: n, After: map[string]float64{"ns_per_op": 100, "allocs_per_op": 0}})
 	}
 
 	var w bytes.Buffer
-	compare(&w, results, old, map[string]float64{"ttfr_pct": 5})
+	compare(&w, results, old, map[string]float64{"ttfr_pct": 5, "progress_frames": 1})
 	warned := map[string]bool{}
 	for _, line := range strings.Split(w.String(), "\n") {
 		if f := strings.Fields(line); len(f) > 2 && f[0] == "WARNING:" {
 			warned[f[1]+" "+f[2]] = true
 		}
 	}
-	want := map[string]bool{"Slow ns_per_op": true, "Allocs allocs_per_op": true, "ZeroFloor allocs_per_op": true, "TTFR ttfr_pct": true}
+	want := map[string]bool{"Slow ns_per_op": true, "Allocs allocs_per_op": true, "ZeroFloor allocs_per_op": true, "TTFR ttfr_pct": true, "Frames progress_frames": true}
 	if len(warned) != len(want) {
 		t.Errorf("warnings %v, want %v\n%s", warned, want, w.String())
 	}
