@@ -45,7 +45,7 @@ func runSeedVary(b *testing.B, cfg serve.Config, path string) float64 {
 
 // BenchmarkServe_SweepSeedVaryCold measures the seed-vary workload with the
 // plan cache at its default size: every request misses the response cache,
-// but after the priming request all corpus scenarios are plan-cache hits.
+// but after the priming request every CV 0 corpus scenario is a plan-cache hit.
 func BenchmarkServe_SweepSeedVaryCold(b *testing.B) {
 	runSeedVary(b, serve.Config{}, "/v1/sweep")
 }

@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, logOut io.Writer, ready chan<- stri
 		addr    = fs.String("addr", ":8080", "listen address")
 		workers = fs.Int("workers", 0, "sweep worker pool per evaluation (0 = GOMAXPROCS)")
 		cache   = fs.Int("cache", 512, "result cache capacity (responses)")
-		plans   = fs.Int("plan-cache-entries", 512, "second-level plan cache capacity (compiled plans, built models, corpus scenarios); 0 or negative disables")
+		plans   = fs.Int("plan-cache-entries", 512, "second-level plan cache capacity (compiled plans, built models, corpus shapes, CV 0 corpus outcomes); 0 or negative disables")
 		shards  = fs.Int("shards", 16, "cache/singleflight shard count (power of two, 1..256)")
 		queue   = fs.Int("queue", 4, "max concurrent evaluations")
 		waiters = fs.Int("max-waiters", 64, "per-tenant admission queue bound; arrivals beyond it are shed with 503 + Retry-After")

@@ -30,6 +30,14 @@ type testCluster struct {
 // servers so every replica can be born knowing its siblings' URLs.
 func newCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return newWrappedCluster(t, n, nil)
+}
+
+// newWrappedCluster is newCluster with replica i's handler wrapped by
+// wrap(i, handler) when wrap is non-nil, so a test can observe what each
+// replica receives.
+func newWrappedCluster(t *testing.T, n int, wrap func(int, http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	c := &testCluster{
 		replicas: make([]*serve.Server, n),
 		servers:  make([]*httptest.Server, n),
@@ -52,7 +60,11 @@ func newCluster(t *testing.T, n int) *testCluster {
 			}
 		}
 		c.replicas[i] = serve.New(serve.Config{Peers: peers})
-		ts := httptest.NewUnstartedServer(c.replicas[i].Handler())
+		h := c.replicas[i].Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewUnstartedServer(h)
 		ts.Listener.Close()
 		ts.Listener = lns[i]
 		ts.Start()

@@ -356,7 +356,7 @@ func New(cfg Config) (*Gate, error) {
 		// The same Accept negotiation the replica applies: a streaming
 		// client must tee through the stream path, or the gate would
 		// buffer the replica's progressive response back into one blob.
-		if acceptsStream(r) {
+		if stream, _ := serve.StreamFraming(r); stream {
 			g.streamProxy(w, r, sweepKey)
 			return
 		}
@@ -524,14 +524,20 @@ func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// fetch routes one upstream request: the key's highest-scoring live
-// replica first, then down the rendezvous order as transport errors
-// (connection refused, resets, timeouts) knock replicas out. HTTP error
-// statuses are not failures — a replica's 400 or 503 is its answer and
-// passes through verbatim. When every replica looks down the gate fails
-// open to the primary owner: if the whole cluster bounced, optimism
-// recovers faster than refusing traffic.
-func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, error) {
+// failover walks the key's rendezvous order for one upstream request: the
+// highest-scoring live replica first, then down the order as transport
+// errors (connection refused, resets, timeouts) knock replicas out. HTTP
+// error statuses are not failures — a replica's 400 or 503 is its answer
+// and passes through verbatim. When every replica looks down the walk
+// fails open to the primary owner: if the whole cluster bounced, optimism
+// recovers faster than refusing traffic. A request rerouted away from the
+// primary owner names it (ownerURL, sent as X-Peer-Owner) so the replica
+// can fill from its cache.
+//
+// try sends the request to b. Its error counts as an upstream error and
+// marks b down; the walk then goes on unless ctx has ended. The first
+// replica that answers is returned.
+func (g *Gate) failover(ctx context.Context, key serve.Key, try func(b *backend, ownerURL string) error) (*backend, error) {
 	primary := g.ring.Owner(key, nil)
 	tried := make([]bool, len(g.backends))
 	for range g.backends {
@@ -548,20 +554,35 @@ func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, err
 		if idx != primary {
 			ownerURL = g.backends[primary].url
 		}
-		res, err := g.roundTrip(b, ureq, ownerURL)
-		if err != nil {
+		if err := try(b, ownerURL); err != nil {
 			g.upstreamErrors.Add(1)
 			g.markDown(b)
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			continue
 		}
 		if idx != primary {
 			g.rerouted.Add(1)
 		}
 		b.requests.Add(1)
-		res.backend = b
-		return res, nil
+		return b, nil
 	}
 	return nil, fmt.Errorf("all %d backends unreachable", len(g.backends))
+}
+
+// fetch routes one buffered upstream request down the key's failover walk.
+func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, error) {
+	var res *upstreamResult
+	b, err := g.failover(context.Background(), key, func(b *backend, ownerURL string) (err error) {
+		res, err = g.roundTrip(b, ureq, ownerURL)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.backend = b
+	return res, nil
 }
 
 // roundTrip issues one upstream request and buffers the response. ownerURL
@@ -669,13 +690,12 @@ func (g *Gate) writeResult(w http.ResponseWriter, r *http.Request, res *upstream
 	w.Write(res.body)
 }
 
-// writeProblem renders a gate-originated error in the same JSON problem
-// shape the replicas use, so clients parse one error format.
+// writeProblem renders a gate-originated error as the replicas' JSON
+// problem document.
 func writeProblem(w http.ResponseWriter, status int, msg string) {
-	body, _ := json.Marshal(map[string]any{"error": msg, "status": status})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
+	w.Write(serve.ProblemBody(status, msg))
 }
 
 // handleHealthz reports the gate's own liveness plus each backend's

@@ -13,20 +13,12 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"wroofline/internal/serve"
 )
-
-// acceptsStream mirrors the replica's Accept negotiation on /v1/sweep.
-func acceptsStream(r *http.Request) bool {
-	a := r.Header.Get("Accept")
-	return strings.Contains(a, serve.ContentTypeNDJSON) || strings.Contains(a, serve.ContentTypeSSE)
-}
 
 // streamFlight is one in-flight upstream stream shared by its subscribers:
 // an append-only chunk buffer plus the response metadata, with a broadcast
@@ -92,7 +84,7 @@ func (g *Gate) streamProxy(w http.ResponseWriter, r *http.Request, keyFn func([]
 	// SSE and NDJSON framings of one spec are different byte streams; they
 	// must not tee off the same flight, so the framing joins the key.
 	framing := "ndjson"
-	if strings.Contains(r.Header.Get("Accept"), serve.ContentTypeSSE) {
+	if _, sse := serve.StreamFraming(r); sse {
 		framing = "sse"
 	}
 	key := serve.ContentKey("stream-"+framing, base[:])
@@ -238,44 +230,13 @@ func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *u
 		}
 		g.streamMu.Unlock()
 	}()
-	primary := g.ring.Owner(key, nil)
-	tried := make([]bool, len(g.backends))
 	var resp *http.Response
-	var picked *backend
-	for range g.backends {
-		idx := g.ring.Owner(key, func(i int) bool { return !tried[i] && g.isUp(i) })
-		if idx < 0 {
-			idx = g.ring.Owner(key, func(i int) bool { return !tried[i] })
-		}
-		if idx < 0 {
-			break
-		}
-		tried[idx] = true
-		b := g.backends[idx]
-		ownerURL := ""
-		if idx != primary {
-			ownerURL = g.backends[primary].url
-		}
-		var err error
+	picked, err := g.failover(ctx, key, func(b *backend, ownerURL string) (err error) {
 		resp, err = g.client.Do(ureq.build(ctx, b, ownerURL))
-		if err != nil {
-			g.upstreamErrors.Add(1)
-			g.markDown(b)
-			if ctx.Err() != nil {
-				f.finish(ctx.Err())
-				return
-			}
-			continue
-		}
-		if idx != primary {
-			g.rerouted.Add(1)
-		}
-		b.requests.Add(1)
-		picked = b
-		break
-	}
-	if resp == nil {
-		f.finish(fmt.Errorf("all %d backends unreachable", len(g.backends)))
+		return err
+	})
+	if err != nil {
+		f.finish(err)
 		return
 	}
 	defer resp.Body.Close()

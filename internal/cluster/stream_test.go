@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,6 +107,65 @@ func TestClusterStreamMatchesSingleServer(t *testing.T) {
 	defer nresp.Body.Close()
 	if got := nresp.Header.Get("Content-Type"); got != serve.ContentTypeNDJSON {
 		t.Errorf("negotiated Content-Type through gate = %q, want %q", got, serve.ContentTypeNDJSON)
+	}
+}
+
+// TestClusterStreamReplicaKill pins stream failover: with the primary
+// owner of a streamed spec dead, the pump walks on to the next replica
+// before the first byte, names the dead owner to it in X-Peer-Owner, and
+// the stream's final line is still a standalone server's buffered body.
+func TestClusterStreamReplicaKill(t *testing.T) {
+	single := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	defer single.Close()
+	var mu sync.Mutex
+	peerOwner := make(map[int]string)
+	c := newWrappedCluster(t, 3, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if o := r.Header.Get(serve.PeerOwnerHeader); o != "" {
+				mu.Lock()
+				peerOwner[i] = o
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	spec := streamSweepSpec(192, 41)
+	_, want, _ := post(t, single.URL+"/v1/sweep", spec)
+
+	base, err := serve.SweepKey([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := c.gate.ring.Owner(serve.ContentKey("stream-ndjson", base[:]), nil)
+	c.servers[victim].Close()
+
+	resp, lines := streamThrough(t, c.front.URL+"/v1/sweep/stream", spec)
+	if resp.StatusCode != http.StatusOK || len(lines) == 0 {
+		t.Fatalf("post-kill stream: status %d, %d lines", resp.StatusCode, len(lines))
+	}
+	if got := lines[len(lines)-1]; got != strings.TrimSuffix(string(want), "\n") {
+		t.Errorf("final line after failover differs from standalone buffered body:\n%s\nvs\n%s", got, want)
+	}
+	handler := -1
+	for i, u := range c.urls {
+		if resp.Header.Get("X-Backend") == u {
+			handler = i
+		}
+	}
+	if handler < 0 || handler == victim {
+		t.Fatalf("stream served by X-Backend %q, want a survivor of %q", resp.Header.Get("X-Backend"), c.urls[victim])
+	}
+	snap := c.gate.MetricsSnapshot()
+	if snap.Rerouted != 1 {
+		t.Errorf("rerouted = %d, want 1", snap.Rerouted)
+	}
+	if snap.UpstreamErrors == 0 {
+		t.Error("no upstream error counted for the dead owner")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := peerOwner[handler]; got != c.urls[victim] {
+		t.Errorf("handling replica got %s %q, want the dead owner %q", serve.PeerOwnerHeader, got, c.urls[victim])
 	}
 }
 

@@ -225,21 +225,6 @@ func (m *Model) BoundAtWall() (float64, Ceiling) {
 	return m.Bound(float64(m.Wall))
 }
 
-// Crossover returns the number of parallel tasks at which a node-scoped
-// ceiling meets a system-scoped ceiling: p* = T_node / T_system. Below p*
-// the node ceiling binds; above it the system ceiling binds. It returns an
-// error when the ceilings' scopes are not (node, system).
-func Crossover(node, system Ceiling) (float64, error) {
-	if node.Scope != ScopeNode || system.Scope != ScopeSystem {
-		return 0, fmt.Errorf("core: crossover needs a node and a system ceiling, got %s and %s",
-			node.Scope, system.Scope)
-	}
-	if node.TimePerTask <= 0 || system.TimePerTask <= 0 {
-		return 0, fmt.Errorf("core: crossover needs positive ceiling times")
-	}
-	return node.TimePerTask / system.TimePerTask, nil
-}
-
 // SetTargets installs target lines from workflow targets.
 func (m *Model) SetTargets(t workflow.Targets, totalTasks int) {
 	if t.MakespanSeconds <= 0 && t.ThroughputTPS <= 0 {

@@ -112,31 +112,6 @@ func TestFig1FileSystemCeiling(t *testing.T) {
 	}
 }
 
-func TestCrossover(t *testing.T) {
-	node := Ceiling{Scope: ScopeNode, TimePerTask: 10}
-	sys := Ceiling{Scope: ScopeSystem, TimePerTask: 2}
-	p, err := Crossover(node, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 5 {
-		t.Errorf("crossover = %v, want 5", p)
-	}
-	// Below p* node binds, above p* system binds.
-	if node.TPSAt(4) >= sys.TPSAt(4) {
-		t.Errorf("below crossover the node ceiling should bind")
-	}
-	if node.TPSAt(6) <= sys.TPSAt(6) {
-		t.Errorf("above crossover the system ceiling should bind")
-	}
-	if _, err := Crossover(sys, node); err == nil {
-		t.Error("swapped scopes should fail")
-	}
-	if _, err := Crossover(Ceiling{Scope: ScopeNode}, sys); err == nil {
-		t.Error("zero-time ceiling should fail")
-	}
-}
-
 func TestAddCeilingSkipsUnused(t *testing.T) {
 	m := &Model{Wall: 1}
 	m.AddCeiling(Ceiling{Name: "zero", TimePerTask: 0})

@@ -1,7 +1,7 @@
 // Package dag implements directed acyclic task graphs for workflow
 // skeletons: construction, cycle detection, topological ordering, level
 // decomposition (the paper's "number of parallel tasks" is the widest
-// level), weighted critical paths, and DOT/ASCII export.
+// level), weighted critical paths, and ASCII export.
 package dag
 
 import (
@@ -379,22 +379,6 @@ func (g *Graph) CriticalPathLength() (int, error) {
 		return 0, f.err
 	}
 	return f.levels, nil
-}
-
-// DOT renders the graph in Graphviz DOT syntax.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for _, id := range g.ids {
-		fmt.Fprintf(&b, "  %q;\n", id)
-	}
-	for _, from := range g.ids {
-		for _, to := range g.Succs(from) {
-			fmt.Fprintf(&b, "  %q -> %q;\n", from, to)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // ASCII renders the level structure as indented text, one level per line:

@@ -156,9 +156,6 @@ func sameGraph(t *testing.T, seed int64, g *Graph, ref *refGraph) bool {
 	if !reflect.DeepEqual(path, rpath) || total != rtotal || errString(err) != errString(rerr) {
 		return fail("CriticalPath", []any{path, total, errString(err)}, []any{rpath, rtotal, errString(rerr)})
 	}
-	if got, want := g.DOT("g"), ref.DOT("g"); got != want {
-		return fail("DOT", got, want)
-	}
 	ascii, err := g.ASCII()
 	rascii, rerr := ref.ASCII()
 	if ascii != rascii || errString(err) != errString(rerr) {

@@ -264,22 +264,6 @@ func (g *refGraph) CriticalPathLength() (int, error) {
 	return len(levels), nil
 }
 
-// DOT renders the graph in Graphviz DOT syntax.
-func (g *refGraph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for _, id := range g.order {
-		fmt.Fprintf(&b, "  %q;\n", id)
-	}
-	for _, from := range g.order {
-		for _, to := range g.Succs(from) {
-			fmt.Fprintf(&b, "  %q -> %q;\n", from, to)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // ASCII renders the level structure as indented text, one level per line:
 //
 //	level 0: A B C D E

@@ -212,16 +212,6 @@ func TestCriticalPathScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestDOT(t *testing.T) {
-	g := lclsSkeleton(t)
-	dot := g.DOT("lcls")
-	for _, want := range []string{`digraph "lcls"`, `"A" -> "F";`, `"E" -> "F";`} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-}
-
 func TestASCII(t *testing.T) {
 	g := lclsSkeleton(t)
 	s, err := g.ASCII()

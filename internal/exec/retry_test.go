@@ -10,7 +10,6 @@ import (
 
 	"wroofline/internal/dag"
 	"wroofline/internal/failure"
-	"wroofline/internal/trace"
 )
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
@@ -42,7 +41,13 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 		t.Errorf("attempts = %v, want a:3 b:1", res.Attempts)
 	}
 	// Every attempt records a span.
-	if n := len(res.Recorder.Filter(func(s trace.Span) bool { return s.Task == "a" })); n != 3 {
+	n := 0
+	for _, s := range res.Recorder.Spans() {
+		if s.Task == "a" {
+			n++
+		}
+	}
+	if n != 3 {
 		t.Errorf("task a recorded %d spans, want 3", n)
 	}
 }

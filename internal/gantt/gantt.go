@@ -64,17 +64,6 @@ func FromRecorder(title string, rec *trace.Recorder, criticalPath []string) (*Ch
 	return c, nil
 }
 
-// CriticalPathBars returns the bars on the critical path in start order.
-func (c *Chart) CriticalPathBars() []Bar {
-	var out []Bar
-	for _, b := range c.Bars {
-		if b.OnCriticalPath {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Render draws the chart as fixed-width text, e.g.:
 //
 //	epsilon  |#####================              |  0.0 - 490.0

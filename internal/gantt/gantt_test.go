@@ -41,9 +41,6 @@ func TestFromRecorder(t *testing.T) {
 	if !c.Bars[0].OnCriticalPath || !c.Bars[1].OnCriticalPath {
 		t.Error("both BGW tasks are on the critical path")
 	}
-	if got := c.CriticalPathBars(); len(got) != 2 {
-		t.Errorf("critical path bars = %d", len(got))
-	}
 }
 
 func TestFromRecorderEmpty(t *testing.T) {

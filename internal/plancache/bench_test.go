@@ -36,7 +36,7 @@ func BenchmarkPlanCache_HitParallel(b *testing.B) {
 }
 
 // BenchmarkPlanCache_KeyScenario measures scenario-key construction (one
-// per corpus scenario, up to 1,000 per request).
+// per family of a CV 0 corpus request).
 func BenchmarkPlanCache_KeyScenario(b *testing.B) {
 	spec := benchSpec()
 	b.ReportAllocs()

@@ -1,9 +1,11 @@
 // Package plancache is the second-level evaluation cache: a sharded,
 // size-bounded, content-addressed LRU keyed by the SHA-256 of a canonical
 // evaluation identity, holding the expensive *construction* artifacts —
-// compiled sim.Plans, built core.Models, generated corpus scenarios and the
-// compiled corpus shapes they are drawn on — that the response cache above
-// it cannot reuse.
+// compiled sim.Plans, built core.Models, compiled corpus shapes, and the
+// outcomes of corpus scenarios whose work does not depend on the seed
+// (CV 0) — that the response cache above it cannot reuse. A CV > 0
+// scenario's outcome is not cached: a fresh seed would never hit it, so it
+// reuses only its family's shape.
 //
 // The serve tier's response cache (internal/serve) only helps when the
 // request bytes recur exactly: a sweep that differs only in seed, trial
@@ -55,8 +57,7 @@ type Scenario struct {
 }
 
 // keyPool recycles the concatenation buffer behind the key constructors so
-// steady-state key hashing does not allocate (a corpus request computes one
-// key per scenario — up to 1,000 per request).
+// steady-state key hashing does not allocate.
 var keyPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
@@ -94,7 +95,9 @@ func CaseKey(name string) Key {
 // and volumes. The one seed-dependent output is the workflow's display
 // name ("gen-<family>-w<w>-d<d>-s<seed>"), which no corpus table reads —
 // scenario aggregation keys on family, not name. This is what lets
-// seed-rotated corpus requests (the seed-vary mix) hit ~100%.
+// seed-rotated corpus requests (the seed-vary mix) hit ~100%. With CV > 0
+// the seed stays in the key; the corpus study does not cache those
+// outcomes at all, since a fresh seed never hits them.
 //
 // The identity bytes are written by hand into the pooled buffer: strings
 // length-prefixed, integers as varints, CV as its float bits. Every field
@@ -174,8 +177,7 @@ type Stats struct {
 	// Entries and Capacity describe occupancy.
 	Entries  int
 	Capacity int
-	// Hits, Misses, and Evictions are cumulative since construction; Flush
-	// resets none of them (a flush is an operational event, not a new cache).
+	// Hits, Misses, and Evictions are cumulative since construction.
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
@@ -241,14 +243,6 @@ func (c *Cache) Capacity() int {
 		return 0
 	}
 	return c.lru.Capacity()
-}
-
-// Flush empties every shard. Counters are preserved; see Stats.
-func (c *Cache) Flush() {
-	if c == nil {
-		return
-	}
-	c.lru.Flush()
 }
 
 // Stats snapshots the counters. A nil receiver reports zeros.

@@ -54,12 +54,11 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if c.Len() != 0 || c.Capacity() != 0 {
 		t.Fatal("nil cache reported occupancy")
 	}
-	c.Flush() // must not panic
 }
 
 // TestCountersAcrossEvictionAndFlush pins the counter wiring over the
-// shared LRU: every entry an insert evicts is counted, and Flush empties
-// the cache without resetting any counter.
+// shared LRU: every entry an insert evicts is counted, and the counters
+// live on the Cache, so emptying the LRU underneath resets none of them.
 func TestCountersAcrossEvictionAndFlush(t *testing.T) {
 	c := New(2, 1)
 	for i := 1; i <= 5; i++ {
@@ -71,7 +70,7 @@ func TestCountersAcrossEvictionAndFlush(t *testing.T) {
 	if st.Entries != 2 || st.Evictions != 3 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v; want 2 entries, 3 evictions, 1 hit, 1 miss", st)
 	}
-	c.Flush()
+	c.lru.Flush()
 	after := c.Stats()
 	if after.Entries != 0 {
 		t.Fatalf("flush left %d entries", after.Entries)

@@ -104,22 +104,6 @@ func (c *Canvas) Polyline(xs, ys []float64, stroke string, width float64) {
 		pts.String(), esc.Replace(stroke), fnum(width))
 }
 
-// Polygon draws a filled closed shape.
-func (c *Canvas) Polygon(xs, ys []float64, fill string, opacity float64) {
-	if len(xs) != len(ys) || len(xs) < 3 {
-		return
-	}
-	var pts strings.Builder
-	for i := range xs {
-		if i > 0 {
-			pts.WriteByte(' ')
-		}
-		fmt.Fprintf(&pts, "%s,%s", fnum(xs[i]), fnum(ys[i]))
-	}
-	fmt.Fprintf(&c.body, `<polygon points="%s" fill="%s" fill-opacity="%s"/>`+"\n",
-		pts.String(), esc.Replace(fill), fnum(opacity))
-}
-
 // String assembles the complete SVG document.
 func (c *Canvas) String() string {
 	return fmt.Sprintf(

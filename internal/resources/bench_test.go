@@ -31,8 +31,8 @@ func BenchmarkLink_SteadyState(b *testing.B) {
 		if err := l.Transfer(float64(1000+i%64), nil); err != nil {
 			b.Fatal(err)
 		}
-		before := l.ActiveFlows()
-		for l.ActiveFlows() >= before {
+		before := len(l.heap)
+		for len(l.heap) >= before {
 			if !e.Step() {
 				b.Fatal("engine drained with flows outstanding")
 			}
@@ -67,7 +67,7 @@ func BenchmarkLink_Churn1000(b *testing.B) {
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
-		if !l.Drain() {
+		if len(l.heap) != 0 {
 			b.Fatal("link not drained")
 		}
 	}

@@ -31,7 +31,7 @@ type flow struct {
 // bytes on every event (O(flows) per event, O(flows²) per busy period), the
 // link integrates one shared work clock vnow at the common per-flow rate. A
 // flow admitted with B bytes completes when vnow advances past its admission
-// value plus B, so a rate change (arrival, completion, SetCapacity) is an
+// value plus B, so a rate change (arrival or completion) is an
 // O(1) epoch update plus one in-place re-arm of the link's single "next
 // completion" event (engine.Reschedule).
 // Completions pop from a per-link min-heap keyed by vfinish.
@@ -129,23 +129,6 @@ func (l *Link) Reset(capacity, perFlowCap float64) error {
 
 // Capacity returns the aggregate capacity in bytes/s.
 func (l *Link) Capacity() float64 { return l.capacity }
-
-// SetCapacity changes the aggregate capacity at the current virtual time,
-// modelling contention onset or relief mid-run. In-flight flows are settled
-// first (the work clock advances at the old rate) so completed progress is
-// preserved.
-func (l *Link) SetCapacity(capacity float64) error {
-	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return fmt.Errorf("resources: link %q: invalid capacity %v", l.Name, capacity)
-	}
-	l.advance()
-	l.capacity = capacity
-	l.reschedule()
-	return nil
-}
-
-// ActiveFlows returns the number of in-flight transfers.
-func (l *Link) ActiveFlows() int { return len(l.heap) }
 
 // Transfer starts moving bytes across the link. done is invoked (with the
 // flow's start and end virtual times) when the transfer completes. A
@@ -280,9 +263,6 @@ func (l *Link) completeReady() bool {
 	l.scratch = batch[:0]
 	return true
 }
-
-// Drain reports whether the link has no pending work, for test assertions.
-func (l *Link) Drain() bool { return len(l.heap) == 0 }
 
 func flowLess(a, b *flow) bool {
 	if a.vfinish != b.vfinish {

@@ -15,7 +15,6 @@ type diffSchedule struct {
 	capacity   float64
 	perFlowCap float64
 	arrivals   []diffArrival
-	capChanges []diffCapChange
 }
 
 type diffArrival struct {
@@ -23,15 +22,10 @@ type diffArrival struct {
 	bytes float64
 }
 
-type diffCapChange struct {
-	at       float64
-	capacity float64
-}
-
 // genSchedule derives a schedule from a seed: mixed flow sizes across six
 // orders of magnitude, arrival times that frequently collide (quantized to a
 // coarse grid half the time, to exercise tie-breaking), optional per-flow
-// caps, and occasional mid-run capacity changes.
+// caps.
 func genSchedule(seed int64) diffSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	s := diffSchedule{
@@ -48,12 +42,6 @@ func genSchedule(seed int64) diffSchedule {
 		}
 		bytes := math.Exp(rng.Float64()*math.Log(1e6)) * s.capacity / 1e3
 		s.arrivals = append(s.arrivals, diffArrival{at: at, bytes: bytes})
-	}
-	for i, k := 0, rng.Intn(3); i < k; i++ {
-		s.capChanges = append(s.capChanges, diffCapChange{
-			at:       rng.Float64() * 20,
-			capacity: s.capacity * (0.1 + 2*rng.Float64()),
-		})
 	}
 	return s
 }
@@ -84,21 +72,11 @@ func runBucketed(t *testing.T, s diffSchedule) ([]float64, []float64) {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range s.capChanges {
-		c := c
-		if _, err := e.At(c.at, func() {
-			if err := l.SetCapacity(c.capacity); err != nil {
-				t.Errorf("bucketed setcapacity: %v", err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Drain() {
-		t.Fatalf("bucketed link not drained: %d flows left", l.ActiveFlows())
+	if len(l.heap) != 0 {
+		t.Fatalf("bucketed link not drained: %d flows left", len(l.heap))
 	}
 	return starts, ends
 }
@@ -124,16 +102,6 @@ func runReference(t *testing.T, s diffSchedule) ([]float64, []float64) {
 				starts[i], ends[i] = st, en
 			}); err != nil {
 				t.Errorf("reference transfer %d: %v", i, err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range s.capChanges {
-		c := c
-		if _, err := e.At(c.at, func() {
-			if err := l.setCapacity(c.capacity); err != nil {
-				t.Errorf("reference setcapacity: %v", err)
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -198,13 +166,12 @@ func TestQuickDifferentialLink(t *testing.T) {
 }
 
 // TestQuickBucketedCapacityConservation checks the bucketed link's max-min
-// invariants directly on randomized schedules (no capacity changes, so the
-// bound is exact): total bytes delivered never exceed capacity × busy time,
+// invariants directly on randomized schedules (the capacity never changes, so
+// the bound is exact): total bytes delivered never exceed capacity × busy time,
 // and each flow's average rate never exceeds its per-flow cap.
 func TestQuickBucketedCapacityConservation(t *testing.T) {
 	prop := func(seed int64) bool {
 		s := genSchedule(seed)
-		s.capChanges = nil
 		starts, ends := runBucketed(t, s)
 		first, last := math.Inf(1), math.Inf(-1)
 		total := 0.0

@@ -52,16 +52,6 @@ func newRefLink(eng *engine.Engine, name string, capacity, perFlowCap float64) (
 	}, nil
 }
 
-func (l *refLink) setCapacity(capacity float64) error {
-	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return fmt.Errorf("resources: link %q: invalid capacity %v", l.name, capacity)
-	}
-	l.settle()
-	l.capacity = capacity
-	l.reschedule()
-	return nil
-}
-
 func (l *refLink) activeFlows() int { return len(l.flows) }
 
 func (l *refLink) transfer(bytes float64, done func(start, end float64)) error {

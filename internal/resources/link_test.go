@@ -28,7 +28,7 @@ func TestSingleTransfer(t *testing.T) {
 	if start != 0 || !almost(end, 10, 1e-9) {
 		t.Errorf("transfer window [%v, %v], want [0, 10]", start, end)
 	}
-	if !l.Drain() {
+	if len(l.heap) != 0 {
 		t.Error("link should be drained")
 	}
 }
@@ -207,33 +207,6 @@ func TestContentionBelowCap(t *testing.T) {
 	}
 }
 
-func TestSetCapacityMidTransfer(t *testing.T) {
-	// 1000 B at 100 B/s; at t=5 capacity drops 5x to 20 B/s (the paper's
-	// LCLS contention story). 500 B remain -> 25 s more -> end at 30.
-	e := engine.New()
-	l, err := NewLink(e, "external", 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var end float64
-	if err := l.Transfer(1000, func(_, en float64) { end = en }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Schedule(5, func() {
-		if err := l.SetCapacity(20); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !almost(end, 30, 1e-9) {
-		t.Errorf("end = %v, want 30", end)
-	}
-}
-
 func TestLinkValidation(t *testing.T) {
 	e := engine.New()
 	if _, err := NewLink(nil, "x", 1, 0); err == nil {
@@ -257,32 +230,9 @@ func TestLinkValidation(t *testing.T) {
 		}
 	}
 	for _, capy := range []float64{0, -2, math.NaN()} {
-		if err := l.SetCapacity(capy); err == nil {
-			t.Errorf("SetCapacity(%v) should fail", capy)
+		if err := l.Reset(capy, 0); err == nil {
+			t.Errorf("Reset(%v, 0) should fail", capy)
 		}
-	}
-}
-
-func TestActiveFlows(t *testing.T) {
-	e := engine.New()
-	l, err := NewLink(e, "x", 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Transfer(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Transfer(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	if l.ActiveFlows() != 2 {
-		t.Errorf("active = %d, want 2", l.ActiveFlows())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if l.ActiveFlows() != 0 {
-		t.Errorf("active after drain = %d", l.ActiveFlows())
 	}
 }
 

@@ -68,21 +68,8 @@ func (p *Pool) Reset(total int) error {
 // Total returns the pool size.
 func (p *Pool) Total() int { return p.total }
 
-// Free returns the currently idle node count.
-func (p *Pool) Free() int { return p.free }
-
-// InUse returns the currently allocated node count (nodes pending removal
-// are still held by tasks, so they count as in use until released).
-func (p *Pool) InUse() int { return p.total - p.free - p.down }
-
-// Down returns the number of nodes currently out of service.
-func (p *Pool) Down() int { return p.down + p.downPending }
-
 // PeakInUse returns the allocation high-water mark.
 func (p *Pool) PeakInUse() int { return p.peakInUse }
-
-// QueueLength returns the number of waiting requests.
-func (p *Pool) QueueLength() int { return len(p.queue) - p.head }
 
 // Acquire requests n nodes; granted runs (synchronously, at the current
 // virtual time) once they are allocated. Grants are strictly FIFO: a large

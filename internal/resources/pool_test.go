@@ -20,14 +20,14 @@ func TestPoolBasicAcquireRelease(t *testing.T) {
 	if !granted {
 		t.Fatal("grant should be immediate when nodes are free")
 	}
-	if p.Free() != 6 || p.InUse() != 4 {
-		t.Errorf("free=%d inuse=%d", p.Free(), p.InUse())
+	if p.free != 6 || nodesInUse(p) != 4 {
+		t.Errorf("free=%d inuse=%d", p.free, nodesInUse(p))
 	}
 	if err := p.Release(4); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 10 {
-		t.Errorf("free=%d after release", p.Free())
+	if p.free != 10 {
+		t.Errorf("free=%d after release", p.free)
 	}
 }
 
@@ -47,8 +47,8 @@ func TestPoolQueuesWhenFull(t *testing.T) {
 	if got {
 		t.Fatal("4-node request should queue behind 8-node allocation")
 	}
-	if p.QueueLength() != 1 {
-		t.Errorf("queue = %d", p.QueueLength())
+	if queued(p) != 1 {
+		t.Errorf("queue = %d", queued(p))
 	}
 	if err := p.Release(8); err != nil {
 		t.Fatal(err)
@@ -128,8 +128,8 @@ func TestPoolParallelismWall(t *testing.T) {
 	if p.PeakInUse() != 28*64 {
 		t.Errorf("peak in use = %d, want %d", p.PeakInUse(), 28*64)
 	}
-	if p.Free() != 1792 {
-		t.Errorf("free at end = %d", p.Free())
+	if p.free != 1792 {
+		t.Errorf("free at end = %d", p.free)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestQuickPoolConservation(t *testing.T) {
 			n := int(s%20) + 1
 			delay += 1
 			if err := p.Acquire(n, func() {
-				if p.InUse() > p.Total() || p.Free() < 0 {
+				if nodesInUse(p) > p.Total() || p.free < 0 {
 					violated = true
 				}
 				if _, err := e.Schedule(delay, func() {
@@ -197,7 +197,7 @@ func TestQuickPoolConservation(t *testing.T) {
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return !violated && p.Free() == 100 && p.QueueLength() == 0
+		return !violated && p.free == 100 && queued(p) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -214,8 +214,8 @@ func TestPoolOfflineOnline(t *testing.T) {
 	if err := p.Offline(3); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 7 || p.Down() != 3 || p.InUse() != 0 {
-		t.Fatalf("after offline: free=%d down=%d inuse=%d", p.Free(), p.Down(), p.InUse())
+	if p.free != 7 || nodesDown(p) != 3 || nodesInUse(p) != 0 {
+		t.Fatalf("after offline: free=%d down=%d inuse=%d", p.free, nodesDown(p), nodesInUse(p))
 	}
 	// A request for more than the remaining capacity waits.
 	granted := false
@@ -232,8 +232,8 @@ func TestPoolOfflineOnline(t *testing.T) {
 	if !granted {
 		t.Fatal("repair should dispatch the waiting request")
 	}
-	if p.InUse() != 8 || p.Free() != 2 {
-		t.Fatalf("after grant: free=%d inuse=%d", p.Free(), p.InUse())
+	if nodesInUse(p) != 8 || p.free != 2 {
+		t.Fatalf("after grant: free=%d inuse=%d", p.free, nodesInUse(p))
 	}
 }
 
@@ -250,27 +250,27 @@ func TestPoolOfflineBusyNodesDrain(t *testing.T) {
 	if err := p.Offline(2); err != nil {
 		t.Fatal(err)
 	}
-	if p.Down() != 2 || p.Free() != 0 || p.InUse() != 4 {
-		t.Fatalf("pending offline: free=%d down=%d inuse=%d", p.Free(), p.Down(), p.InUse())
+	if nodesDown(p) != 2 || p.free != 0 || nodesInUse(p) != 4 {
+		t.Fatalf("pending offline: free=%d down=%d inuse=%d", p.free, nodesDown(p), nodesInUse(p))
 	}
 	if err := p.Release(1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 0 || p.Down() != 2 || p.InUse() != 3 {
-		t.Fatalf("after first release: free=%d down=%d inuse=%d", p.Free(), p.Down(), p.InUse())
+	if p.free != 0 || nodesDown(p) != 2 || nodesInUse(p) != 3 {
+		t.Fatalf("after first release: free=%d down=%d inuse=%d", p.free, nodesDown(p), nodesInUse(p))
 	}
 	if err := p.Release(3); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 2 || p.Down() != 2 || p.InUse() != 0 {
-		t.Fatalf("after drain: free=%d down=%d inuse=%d", p.Free(), p.Down(), p.InUse())
+	if p.free != 2 || nodesDown(p) != 2 || nodesInUse(p) != 0 {
+		t.Fatalf("after drain: free=%d down=%d inuse=%d", p.free, nodesDown(p), nodesInUse(p))
 	}
 	// Online cancels pending removals first, then repairs down nodes.
 	if err := p.Online(2); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 4 || p.Down() != 0 {
-		t.Fatalf("after repair: free=%d down=%d", p.Free(), p.Down())
+	if p.free != 4 || nodesDown(p) != 0 {
+		t.Fatalf("after repair: free=%d down=%d", p.free, nodesDown(p))
 	}
 	if err := p.Online(1); err == nil {
 		t.Fatal("online with nothing down should error")
@@ -309,8 +309,8 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("grant %d went to request %d, want FIFO order: %v", k, id, order)
 		}
 	}
-	if p.QueueLength() != 3 {
-		t.Fatalf("QueueLength = %d, want 3", p.QueueLength())
+	if queued(p) != 3 {
+		t.Fatalf("queued = %d, want 3", queued(p))
 	}
 
 	grants := 0
@@ -331,7 +331,14 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycles); allocs != 0 {
 		t.Errorf("64 steady Acquire/Release cycles allocate %.0f objects, want 0", allocs)
 	}
-	if p.QueueLength() != 3 || grants == 0 {
-		t.Errorf("QueueLength = %d, grants = %d after the steady cycle", p.QueueLength(), grants)
+	if queued(p) != 3 || grants == 0 {
+		t.Errorf("queued = %d, grants = %d after the steady cycle", queued(p), grants)
 	}
 }
+
+// nodesInUse, nodesDown and queued read the pool's node accounting: nodes
+// pending removal are still held by tasks, so they count as in use until
+// released, and as down from the moment they are marked.
+func nodesInUse(p *Pool) int { return p.total - p.free - p.down }
+func nodesDown(p *Pool) int  { return p.down + p.downPending }
+func queued(p *Pool) int     { return len(p.queue) - p.head }

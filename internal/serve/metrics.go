@@ -131,9 +131,9 @@ type Snapshot struct {
 	Streams       uint64 `json:"streams,omitempty"`
 	StreamAborts  uint64 `json:"stream_aborts,omitempty"`
 	// Second-level plan cache counters (construction artifacts: compiled
-	// plans, built models, generated corpus scenarios), filled by the Server
-	// from the plancache stats. All omitted when zero / when the cache is
-	// disabled, so earlier snapshot shapes are unchanged.
+	// plans, built models, corpus shapes and CV 0 corpus outcomes), filled
+	// by the Server from the plancache stats. All omitted when zero / when
+	// the cache is disabled, so earlier snapshot shapes are unchanged.
 	PlanCacheEntries   int    `json:"plan_cache_entries,omitempty"`
 	PlanCacheHits      uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses    uint64 `json:"plan_cache_misses,omitempty"`

@@ -72,8 +72,9 @@ type Config struct {
 	// CacheEntries bounds the content-addressed LRU (default 512).
 	CacheEntries int
 	// PlanCacheEntries bounds the second-level plan cache (internal/plancache):
-	// compiled sim.Plans, built core.Models, and generated corpus scenarios,
-	// keyed by evaluation identity and shared across requests that vary only
+	// compiled sim.Plans, built core.Models, compiled corpus shapes and the
+	// seed-independent (CV 0) corpus scenario outcomes, keyed by evaluation
+	// identity and shared across requests that vary only
 	// trials/seed/workers/batch/streaming. 0 selects the default (512);
 	// negative disables the plan cache entirely, restoring fresh
 	// generate/build/compile on every evaluation (the differential tests run
@@ -266,12 +267,6 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	return snap
 }
 
-// PlanCacheStats reports the second-level plan cache counters; enabled is
-// false (with zero stats) when the cache is disabled.
-func (s *Server) PlanCacheStats() (stats plancache.Stats, enabled bool) {
-	return s.plans.Stats(), s.plans != nil
-}
-
 // FlushCache empties the result cache and the raw-request memo, forcing the
 // next request of each shape down the cold path (benchmarks and
 // cache-bypass testing). The plan cache is deliberately left warm: it holds
@@ -309,8 +304,9 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// problemBody renders the JSON problem document for an error response.
-func problemBody(status int, msg string) []byte {
+// ProblemBody renders the JSON problem document for an error response. The
+// gate renders its own errors with it, so clients parse one error format.
+func ProblemBody(status int, msg string) []byte {
 	body, _ := json.Marshal(map[string]any{"error": msg, "status": status})
 	return append(body, '\n')
 }
@@ -319,7 +315,7 @@ func problemBody(status int, msg string) []byte {
 // up front, so hot rejection paths (queue full, body too large) write
 // static bytes.
 func precomputedError(status int, msg string) *httpError {
-	return &httpError{status: status, msg: msg, body: problemBody(status, msg)}
+	return &httpError{status: status, msg: msg, body: ProblemBody(status, msg)}
 }
 
 // retryableError is precomputedError plus a Retry-After hint.
@@ -586,7 +582,7 @@ func fail(w http.ResponseWriter, err error) {
 		w.Write(he.body)
 		return
 	}
-	w.Write(problemBody(status, err.Error()))
+	w.Write(ProblemBody(status, err.Error()))
 }
 
 // rawHit is the fast half of the hot path: if this exact request body has
@@ -672,7 +668,7 @@ func (s *Server) admit(ctx context.Context, tenant string) (func(), error) {
 			return nil, &httpError{
 				status:     http.StatusServiceUnavailable,
 				msg:        msg,
-				body:       problemBody(http.StatusServiceUnavailable, msg),
+				body:       ProblemBody(http.StatusServiceUnavailable, msg),
 				retryAfter: retry,
 			}
 		default: // admitTimeout
@@ -926,7 +922,8 @@ type SweepResponse struct {
 // only delivery differs: respond and serveCached buffer, streamCached and
 // streamSweep stream.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveSweep(w, r, wantsStream(r))
+	stream, _ := StreamFraming(r)
+	s.serveSweep(w, r, stream)
 }
 
 // handleSweepStream serves /v1/sweep/stream: handleSweep, always streamed.

@@ -37,11 +37,14 @@ const (
 	ContentTypeSSE    = "text/event-stream"
 )
 
-// wantsStream reports whether a /v1/sweep request negotiated a streaming
-// response via Accept.
-func wantsStream(r *http.Request) bool {
+// StreamFraming reads a sweep request's Accept header: stream reports
+// whether it negotiates a streamed response on /v1/sweep, and sse whether a
+// stream is framed as server-sent events rather than NDJSON. wfgate
+// negotiates with it too, so the gate and the replica always agree.
+func StreamFraming(r *http.Request) (stream, sse bool) {
 	a := r.Header.Get("Accept")
-	return strings.Contains(a, ContentTypeNDJSON) || strings.Contains(a, ContentTypeSSE)
+	sse = strings.Contains(a, ContentTypeSSE)
+	return sse || strings.Contains(a, ContentTypeNDJSON), sse
 }
 
 // streamSweep delivers a sweep as a stream. A cached response streams as
@@ -111,7 +114,7 @@ type streamEncoder struct {
 // doubles) degrades to buffered writes rather than panicking.
 func newStreamEncoder(w http.ResponseWriter, r *http.Request) *streamEncoder {
 	f, _ := w.(http.Flusher)
-	sse := strings.Contains(r.Header.Get("Accept"), ContentTypeSSE)
+	_, sse := StreamFraming(r)
 	return &streamEncoder{w: w, f: f, sse: sse, buf: make([]byte, 0, 256)}
 }
 

@@ -76,8 +76,9 @@ func compileCorpusShape(s *wfgen.Spec, m *machine.Machine) (*corpusShape, error)
 }
 
 // corpusLanes holds a request's per-family lane state. It is allocated on
-// the request's first plan-cache miss, so a request served entirely from
-// the cache (the CV <= 0 family hits) pays nothing for it.
+// the request's first scenario without a cached outcome, so a request
+// served entirely from the cache (the CV <= 0 family hits) pays nothing
+// for it.
 type corpusLanes struct{ p atomic.Pointer[[]laneFamily] }
 
 // family returns family f's lane state out of n.
@@ -92,7 +93,7 @@ func (l *corpusLanes) family(f, n int) *laneFamily {
 }
 
 // laneFamily is one template family's lane state for a request: its shape,
-// looked up or compiled on the family's first plan-cache miss, and its
+// looked up or compiled on the family's first lane scenario, and its
 // parsed volumes. A nil shape sends every scenario of the family down the
 // reference path.
 type laneFamily struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"wroofline/internal/machine"
 	"wroofline/internal/plancache"
 	"wroofline/internal/wfgen"
 )
@@ -112,26 +113,55 @@ func TestPlanCacheCorpusSeedVary(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCorpusSeedSensitive is the converse guard: with CV > 0 the
-// seed shapes the drawn work, so cross-seed requests must NOT share
-// scenario entries.
-func TestPlanCacheCorpusSeedSensitive(t *testing.T) {
+// TestPlanCacheCorpusCVCachesOnlyShapes pins the cache rule for CV > 0:
+// the seed shapes the drawn work, so a scenario's outcome is never cached
+// (a fresh seed could not hit it) and only each family's compiled shape is.
+// After a first request the cache holds exactly the 5 shape entries; a
+// second request on a fresh seed reuses them with no miss, no new entry and
+// no eviction, and renders what a cache-off evaluation renders.
+func TestPlanCacheCorpusCVCachesOnlyShapes(t *testing.T) {
 	ctx := context.Background()
+	tmpl := wfgen.Spec{Width: 5, Depth: 3, CV: 0.4, Payload: "512 MB"}
 	mk := func(seed uint64) *Spec {
-		return &Spec{
-			Kind: "corpus", Machine: "perlmutter-numa", Count: 10, Seed: seed, Workers: 1,
-			Template: &wfgen.Spec{Width: 5, Depth: 3, CV: 0.4, Payload: "512 MB"},
-		}
+		tp := tmpl
+		return &Spec{Kind: "corpus", Machine: "perlmutter-numa", Count: 10, Seed: seed, Workers: 1, Template: &tp}
 	}
 	plans := plancache.New(256, 4)
 	if _, err := RunCached(ctx, mk(1), plans); err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := plans.Stats().Misses
-	if _, err := RunCached(ctx, mk(2), plans); err != nil {
+	st := plans.Stats()
+	if st.Entries != 5 || st.Misses != 5 || st.Hits != 0 || st.Evictions != 0 {
+		t.Fatalf("after seed-1 run: %+v; want the 5 family shapes as the only misses and entries", st)
+	}
+
+	cached, err := RunCached(ctx, mk(2), plans)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plans.Stats().Misses - missesAfterFirst; got != 10 {
-		t.Fatalf("CV>0 cross-seed run took %d misses; want all 10 (seeds must stay significant)", got)
+	st2 := plans.Stats()
+	if st2.Misses != st.Misses || st2.Entries != st.Entries || st2.Evictions != 0 || st2.Hits != 5 {
+		t.Fatalf("seed-2 run: %+v after %+v; want 5 shape hits and no miss, entry or eviction", st2, st)
+	}
+	fresh, err := RunStreamCached(ctx, mk(2), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderTables(t, cached), renderTables(t, fresh); got != want {
+		t.Errorf("seed-2 tables on cached shapes diverged from a cache-off evaluation:\n--- fresh ---\n%s\n--- cached ---\n%s", want, got)
+	}
+
+	// The entries are the family shapes, not scenario outcomes.
+	m, err := machine.ByName("perlmutter-numa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range wfgen.Families() {
+		s := tmpl
+		s.Family = fam
+		s.Partition = defaultPartition(m)
+		if _, ok := plans.Get(plancache.ShapeKey(&s, m.Name)); !ok {
+			t.Errorf("family %s: shape not cached", fam)
+		}
 	}
 }

@@ -41,13 +41,13 @@ type Progress struct {
 // locked: it must be brief and must not call back into the study.
 //
 // plans is the second-level plan cache: the ensemble kinds consult it for
-// their expensive construction artifacts (compiled case plans, generated
-// corpus scenarios) before generating, building, and compiling afresh, and
-// fill it on miss. Because compiled plans are immutable and concurrent-safe
-// and construction is a pure function of the cache key, a hit evaluation is
-// bit-identical to a cold one at any worker x batch geometry —
-// TestPlanCacheDifferential proves it. A nil cache disables reuse entirely
-// (the pre-cache behavior).
+// their expensive construction artifacts (compiled case plans, corpus
+// shapes, CV 0 corpus outcomes) before generating, building, and compiling
+// afresh, and fill it on miss. Because compiled plans are immutable and
+// concurrent-safe and construction is a pure function of the cache key, a
+// hit evaluation is bit-identical to a cold one at any worker x batch
+// geometry — TestPlanCacheDifferential proves it. A nil cache disables
+// reuse entirely (the pre-cache behavior).
 func RunStreamCached(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	switch spec.Kind {
 	case "montecarlo":

@@ -692,12 +692,14 @@ type corpusScenario struct {
 // A scenario runs on the corpus lane (lane.go): its family's compiled shape
 // with the scenario's work drawn onto it, bit-identical to generate →
 // build → compile → simulate, which runs instead whenever a lane step
-// fails. With a plan cache wired, each scenario's outcome is keyed by
-// (machine, normalized template+family+seed) and reused across requests —
-// and, for CV==0 templates, across seeds too (see plancache.ScenarioKey) —
-// and small shapes are shared under plancache.ShapeKey. The cached
-// scenario carries exactly the fields the tables read, so hit and miss
-// scenarios aggregate identically.
+// fails. With a plan cache wired, small shapes are shared under
+// plancache.ShapeKey, and a CV <= 0 template's outcomes are cached too: its
+// seed never enters plancache.ScenarioKey, so one entry per family serves
+// every scenario of every seed. A CV > 0 outcome depends on its seed, which
+// a later request almost never repeats, so it is neither looked up nor
+// stored; the scenario draws onto its family's cached shape instead. The
+// cached scenario carries exactly the fields the tables read, so hit and
+// miss scenarios aggregate identically.
 func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit func(Progress)) ([]*report.Table, error) {
 	if spec.Count <= 0 {
 		return nil, fmt.Errorf("corpus spec needs positive count, got %d", spec.Count)
@@ -721,9 +723,8 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 	// surface once, not Count times from inside the pool. The work
 	// quantities are the template's own, the same for every family, so only
 	// family 0 checks them: the first failing family still reports the
-	// error a full check would. With CV <= 0 the seed never enters a
-	// scenario key, so each family's key is hashed here once instead of once
-	// per scenario.
+	// error a full check would. Only CV <= 0 outcomes are cached, and their
+	// key is the family's, so each family's key is hashed here once.
 	var famKeys []plancache.Key
 	if plans != nil && tmpl.CV <= 0 {
 		famKeys = make([]plancache.Key, len(families))
@@ -754,14 +755,8 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 				s := tmpl
 				s.Family = families[f]
 				s.Seed = sweep.TrialSeed(spec.Seed, i)
-				var key plancache.Key
-				if plans != nil {
-					if famKeys != nil {
-						key = famKeys[f]
-					} else {
-						key = plancache.ScenarioKey(&s, m.Name)
-					}
-					if v, ok := plans.Get(key); ok {
+				if famKeys != nil {
+					if v, ok := plans.Get(famKeys[f]); ok {
 						sc := v.(*plancache.Scenario)
 						out[j] = corpusScenario{
 							family:   s.Family,
@@ -778,8 +773,8 @@ func runCorpus(ctx context.Context, spec *Spec, plans *plancache.Cache, emit fun
 					return &sweep.TrialError{Trial: i, Err: err}
 				}
 				out[j] = c
-				if plans != nil {
-					plans.Put(key, &plancache.Scenario{
+				if famKeys != nil {
+					plans.Put(famKeys[f], &plancache.Scenario{
 						Tasks:    c.tasks,
 						BoundTPS: c.boundTPS,
 						Limiting: c.limiting,

@@ -124,17 +124,6 @@ func (r *Recorder) ByPhase() map[string]float64 {
 	return out
 }
 
-// ByTask sums span durations per task id.
-func (r *Recorder) ByTask() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64)
-	for _, s := range r.spans {
-		out[s.Task] += s.Duration()
-	}
-	return out
-}
-
 // TaskWindow returns the earliest start and latest end across a task's
 // spans; ok is false when the task has none.
 func (r *Recorder) TaskWindow(task string) (start, end float64, ok bool) {
@@ -172,17 +161,5 @@ func (r *Recorder) Tasks() []string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Filter returns the spans satisfying pred, in the same sorted order as
-// Spans.
-func (r *Recorder) Filter(pred func(Span) bool) []Span {
-	var out []Span
-	for _, s := range r.Spans() {
-		if pred(s) {
-			out = append(out, s)
-		}
-	}
 	return out
 }

@@ -5,9 +5,8 @@
 // All quantities are SI-decimal (1 KB = 1e3 B, 1 TFLOP = 1e12 FLOP) to match
 // the arithmetic in the Workflow Roofline paper (e.g. 4 x 9.7 TFLOPS = 38.8
 // TFLOPS per Perlmutter GPU node, 14 x 4 x 100 GB/s = 5.6 TB/s file-system
-// peak). Durations use the standard library's time.Duration; helpers convert
-// to and from float64 seconds, which is the natural unit when dividing work
-// by a peak rate.
+// peak). Durations are float64 seconds, which is the natural unit when
+// dividing work by a peak rate.
 package units
 
 import (
@@ -15,7 +14,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Bytes is a data volume in bytes. It is a float64 so analytical models may
@@ -153,21 +151,6 @@ func divideWork(work, rate float64) Seconds {
 	return work / rate
 }
 
-// Duration converts float64 seconds into a time.Duration, saturating at the
-// representable range.
-func Duration(s Seconds) time.Duration {
-	if math.IsInf(s, 1) || s > math.MaxInt64/1e9 {
-		return time.Duration(math.MaxInt64)
-	}
-	if math.IsInf(s, -1) || s < math.MinInt64/1e9 {
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(s * float64(time.Second))
-}
-
-// SecondsOf converts a time.Duration into float64 seconds.
-func SecondsOf(d time.Duration) Seconds { return d.Seconds() }
-
 // parse splits a quantity string like "5.6 TB/s" into value 5.6e12 given the
 // base unit ("B/s"). Accepted forms: optional whitespace between mantissa and
 // unit, case-insensitive prefix and unit, and an optional "i" (binary) prefix
@@ -268,20 +251,4 @@ func ParseFlops(s string) (Flops, error) {
 	}
 	v, err := parse(t, "FLOP")
 	return Flops(v), err
-}
-
-// ParseFlopRate parses strings like "38.8 TFLOPS" or "9.7 TFLOP/s".
-func ParseFlopRate(s string) (FlopRate, error) {
-	t := strings.TrimSpace(s)
-	lower := strings.ToLower(t)
-	switch {
-	case strings.HasSuffix(lower, "flop/s"):
-		v, err := parse(t, "FLOP/s")
-		return FlopRate(v), err
-	case strings.HasSuffix(lower, "flops"):
-		v, err := parse(t, "FLOPS")
-		return FlopRate(v), err
-	default:
-		return 0, fmt.Errorf("units: %q does not end in FLOPS or FLOP/s", s)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestConstants(t *testing.T) {
@@ -56,21 +55,6 @@ func TestTimeToCompute(t *testing.T) {
 	}
 	if !math.IsInf(TimeToCompute(1*GFLOP, 0), 1) {
 		t.Errorf("TimeToCompute with zero rate should be +Inf")
-	}
-}
-
-func TestDurationRoundTrip(t *testing.T) {
-	for _, s := range []Seconds{0, 0.25, 1, 17 * 60, 5100} {
-		d := Duration(s)
-		if got := SecondsOf(d); math.Abs(got-s) > 1e-9 {
-			t.Errorf("round trip %v -> %v -> %v", s, d, got)
-		}
-	}
-	if Duration(math.Inf(1)) != time.Duration(math.MaxInt64) {
-		t.Errorf("Duration(+Inf) should saturate at MaxInt64")
-	}
-	if Duration(math.Inf(-1)) != time.Duration(math.MinInt64) {
-		t.Errorf("Duration(-Inf) should saturate at MinInt64")
 	}
 }
 
@@ -169,30 +153,6 @@ func TestParseFlops(t *testing.T) {
 		if math.Abs(float64(got-c.want)) > 1e-3 {
 			t.Errorf("ParseFlops(%q) = %v, want %v", c.in, float64(got), float64(c.want))
 		}
-	}
-}
-
-func TestParseFlopRate(t *testing.T) {
-	cases := []struct {
-		in   string
-		want FlopRate
-	}{
-		{"38.8 TFLOPS", 38.8 * TFLOPS},
-		{"9.7 TFLOP/s", 9.7 * TFLOPS},
-		{"5 TFLOPS", 5 * TFLOPS},
-	}
-	for _, c := range cases {
-		got, err := ParseFlopRate(c.in)
-		if err != nil {
-			t.Errorf("ParseFlopRate(%q): %v", c.in, err)
-			continue
-		}
-		if math.Abs(float64(got-c.want)) > 1e-3 {
-			t.Errorf("ParseFlopRate(%q) = %v, want %v", c.in, float64(got), float64(c.want))
-		}
-	}
-	if _, err := ParseFlopRate("38.8 TB/s"); err == nil {
-		t.Errorf("ParseFlopRate of a byte rate should fail")
 	}
 }
 
