@@ -54,11 +54,16 @@ type Config struct {
 	// detection is immediate regardless — a transport error on a live
 	// request marks the backend down on the spot.
 	FailAfter int
-	// Timeout bounds one upstream fetch, shared by every rider of the
-	// flight (default 30s, matching the replica evaluation budget).
+	// Timeout bounds one upstream try, shared by every rider of the flight
+	// (default 30s, matching the replica evaluation budget). Tries that
+	// start within Timeout/32 of each other share one deadline, so a try is
+	// cut off after at least Timeout and at most Timeout+Timeout/32.
 	Timeout time.Duration
-	// Client overrides the upstream HTTP client (tests and benchmarks
-	// inject in-process transports); nil builds a default.
+	// Client supplies the upstream transport (tests and benchmarks inject
+	// in-process ones). Only its Transport is used, http.DefaultTransport
+	// when nil: the gate round-trips directly, so the client's Timeout,
+	// Jar and CheckRedirect play no part, and a replica's redirect passes
+	// through to the client unfollowed.
 	Client *http.Client
 	// Logger receives one structured record per backend state change; nil
 	// discards.
@@ -152,10 +157,10 @@ func newUpstreamRequest(r *http.Request, body []byte) *upstreamRequest {
 		method:   r.Method,
 		path:     r.URL.Path,
 		rawPath:  r.URL.RawPath,
-		ctype:    r.Header.Get("Content-Type"),
-		accept:   r.Header.Get("Accept"),
-		tenant:   r.Header.Get(serve.TenantHeader),
-		deadline: r.Header.Get(serve.DeadlineHeader),
+		ctype:    first(r.Header, "Content-Type"),
+		accept:   first(r.Header, "Accept"),
+		tenant:   first(r.Header, serve.TenantHeader),
+		deadline: first(r.Header, serve.DeadlineHeader),
 		body:     body,
 	}
 }
@@ -241,18 +246,29 @@ type headerValue struct {
 
 // replayedHeaders are the upstream response headers the gate passes
 // through, canonical keys: a shed replica's Retry-After is the client's
-// backoff hint, so 503 + Retry-After survives the hop.
-var replayedHeaders = [...]string{"Content-Type", "Etag", "X-Cache", "Retry-After"}
+// backoff hint, so 503 + Retry-After survives the hop, and a redirect's
+// Location reaches the client that is to follow it.
+var replayedHeaders = [...]string{"Content-Type", "Etag", "X-Cache", "Retry-After", "Location"}
+
+// first returns h's first value for key, or "". key must be in canonical
+// form, as every key the gate reads is: this is http.Header.Get without
+// canonicalizing the key on each call.
+func first(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
 
 // newUpstreamResult wraps a fetched response's status and body and stamps
 // its replayed headers. The value slices share one backing array and are
 // capped at length one, so an append by any writer copies instead of
 // clobbering a neighbour.
 func newUpstreamResult(resp *http.Response, body []byte, buf *[]byte) *upstreamResult {
-	res := &upstreamResult{status: resp.StatusCode, body: body, buf: buf, etag: resp.Header.Get("ETag")}
+	res := &upstreamResult{status: resp.StatusCode, body: body, buf: buf, etag: first(resp.Header, "Etag")}
 	vals := make([]string, len(replayedHeaders)+1)
 	for i, k := range replayedHeaders {
-		if v := resp.Header.Get(k); v != "" {
+		if v := first(resp.Header, k); v != "" {
 			vals[i] = v
 			res.header[res.nheader] = headerValue{k, vals[i : i+1 : i+1]}
 			res.nheader++
@@ -290,7 +306,12 @@ type Gate struct {
 	// routes memoizes raw request body → routing key (see routeKey). It
 	// holds keys only, never response bodies, at a fixed capacity.
 	routes *cas.LRU[serve.Key]
-	client *http.Client
+	// transport carries every upstream request: Config.Client's Transport,
+	// resolved once in New.
+	transport http.RoundTripper
+	// window is the current deadline window of buffered tries (see
+	// tryContext).
+	window atomic.Pointer[deadlineWindow]
 	mux    *http.ServeMux
 
 	// streamMu guards streams, the in-flight tee table for streaming
@@ -331,16 +352,16 @@ func New(cfg Config) (*Gate, error) {
 		urls[i], bases[i] = u, base
 	}
 	g := &Gate{
-		cfg:     cfg,
-		ring:    NewRing(urls),
-		flight:  cas.NewFlight[*upstreamResult](shards),
-		routes:  cas.NewLRU[serve.Key](routeMemoEntries, shards),
-		client:  cfg.Client,
-		mux:     http.NewServeMux(),
-		streams: make(map[serve.Key]*streamFlight),
+		cfg:       cfg,
+		ring:      NewRing(urls),
+		flight:    cas.NewFlight[*upstreamResult](shards),
+		routes:    cas.NewLRU[serve.Key](routeMemoEntries, shards),
+		transport: http.DefaultTransport,
+		mux:       http.NewServeMux(),
+		streams:   make(map[serve.Key]*streamFlight),
 	}
-	if g.client == nil {
-		g.client = &http.Client{Timeout: cfg.Timeout}
+	if cfg.Client != nil && cfg.Client.Transport != nil {
+		g.transport = cfg.Client.Transport
 	}
 	g.backends = make([]*backend, len(urls))
 	for i, u := range urls {
@@ -442,7 +463,7 @@ func (g *Gate) probe(ctx context.Context, b *backend) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := g.client.Do(req)
+	resp, err := g.transport.RoundTrip(req)
 	if err != nil {
 		return false
 	}
@@ -585,16 +606,48 @@ func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, err
 	return res, nil
 }
 
+// deadlineWindow is one deadline shared by the upstream tries that start
+// within Timeout/32 of its opening: ctx ends Timeout+Timeout/32 after the
+// opening, so each of those tries gets at least Timeout. One timer then
+// serves every try in the window instead of one per try.
+type deadlineWindow struct {
+	ctx context.Context
+	// cancel is never called on a window that was installed: its tries
+	// may still be running, and the deadline releases it.
+	cancel context.CancelFunc
+	// until is when the window stops taking new tries.
+	until time.Time
+}
+
+// tryContext returns the context for one buffered upstream try: the
+// current deadline window's, or a new window's once the current one stops
+// taking tries. It takes no lock. A racer that loses the swap discards its
+// own window and takes the winner's.
+func (g *Gate) tryContext() context.Context {
+	span := g.cfg.Timeout / 32
+	for {
+		cur := g.window.Load()
+		now := time.Now()
+		if cur != nil && now.Before(cur.until) {
+			return cur.ctx
+		}
+		ctx, cancel := context.WithDeadline(context.Background(), now.Add(g.cfg.Timeout+span))
+		if g.window.CompareAndSwap(cur, &deadlineWindow{ctx: ctx, cancel: cancel, until: now.Add(span)}) {
+			return ctx
+		}
+		cancel()
+	}
+}
+
 // roundTrip issues one upstream request and buffers the response. ownerURL
 // names the primary owner when the request was rerouted away from it
 // (empty otherwise). The context is detached from any single client — the
 // result is shared by every rider of the flight, so the first client
 // hanging up must not cancel it (the same contract as the replica's
-// evaluate).
+// evaluate). Each try takes its own deadline window, so a try that timed
+// out leaves the next replica a full Timeout.
 func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, ownerURL string) (*upstreamResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.Timeout)
-	defer cancel()
-	resp, err := g.client.Do(ureq.build(ctx, b, ownerURL))
+	resp, err := g.transport.RoundTrip(ureq.build(g.tryContext(), b, ownerURL))
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +732,7 @@ func (g *Gate) writeResult(w http.ResponseWriter, r *http.Request, res *upstream
 	}
 	h["X-Backend"] = res.backend.xBackend
 	if res.status == http.StatusOK && res.etag != "" {
-		if match := r.Header.Get("If-None-Match"); match != "" && serve.ETagMatch(match, res.etag) {
+		if match := first(r.Header, "If-None-Match"); match != "" && serve.ETagMatch(match, res.etag) {
 			g.notModified.Add(1)
 			w.WriteHeader(http.StatusNotModified)
 			return

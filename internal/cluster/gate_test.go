@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wroofline/internal/serve"
 )
@@ -413,11 +414,12 @@ func TestGateXBackendOnEveryResponse(t *testing.T) {
 // io.ReadAll upstream reads and per-request canonical keying; 23 allocs
 // and 7,832 B with exact-size reads, the routing memo and stamped
 // headers; 21 allocs and 1,641 B with pooled upstream bodies and the
-// upstream request built from the parsed backend URL. The floor keeps a
-// little headroom for toolchain drift.
+// upstream request built from the parsed backend URL; 14 allocs and
+// 1,361 B with shared deadline windows, direct round trips and canonical
+// header lookups. The floor keeps a little headroom for toolchain drift.
 const (
-	gateHitMaxAllocs = 24
-	gateHitMaxBytes  = 3 << 10
+	gateHitMaxAllocs = 16
+	gateHitMaxBytes  = 1536
 )
 
 func TestGateHitAllocs(t *testing.T) {
@@ -859,5 +861,145 @@ func TestGatePooledBodyOwnership(t *testing.T) {
 	// Recycled buffers keep serving exact bytes after the storm.
 	for _, rq := range distinct {
 		expect(rq.method, rq.path, rq.body, c.do(rq.method, rq.path, rq.body, ""))
+	}
+}
+
+// stallTransport holds every try to a stalled host until the try's
+// context ends, then fails it with the context's error, recording when it
+// gave up; other hosts go to next.
+type stallTransport struct {
+	next    http.RoundTripper
+	mu      sync.Mutex
+	stalled map[string]bool
+	ended   []time.Time
+}
+
+func (t *stallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.mu.Lock()
+	stall := t.stalled[req.URL.Host]
+	t.mu.Unlock()
+	if !stall {
+		return t.next.RoundTrip(req)
+	}
+	<-req.Context().Done()
+	t.mu.Lock()
+	t.ended = append(t.ended, time.Now())
+	t.mu.Unlock()
+	return nil, req.Context().Err()
+}
+
+// TestGateFetchDeadline pins the upstream deadline: a try is cut off no
+// earlier than Timeout and no later than Timeout+Timeout/32 after it
+// starts, tries that start close together share one deadline, and a
+// stalled owner's key then goes to the next replica in rendezvous order.
+func TestGateFetchDeadline(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	// slack covers the gate's own work before the try and the wake-up
+	// after the deadline.
+	const slack = 20 * time.Millisecond
+	c := newInprocGate(t, 3)
+	st := &stallTransport{next: c.tr, stalled: map[string]bool{"replica-0": true}}
+	g, err := New(Config{Backends: c.urls, Timeout: timeout, Client: &http.Client{Transport: st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.gate = g
+
+	t.Run("window", func(t *testing.T) {
+		// A new window opens only once the last stops taking tries, so
+		// consecutive deadlines lie at least Timeout/32 apart.
+		var last time.Time
+		windows := 0
+		for giveUp := time.Now().Add(time.Second); windows < 4 && time.Now().Before(giveUp); {
+			before := time.Now()
+			dl, ok := g.tryContext().Deadline()
+			after := time.Now()
+			if !ok {
+				t.Fatal("try context has no deadline")
+			}
+			if dl.Sub(before) < timeout || dl.Sub(after) > timeout+timeout/32 {
+				t.Fatalf("deadline %v after the try started, want %v to %v",
+					dl.Sub(before), timeout, timeout+timeout/32)
+			}
+			if dl.Equal(last) {
+				continue
+			}
+			if windows > 0 && dl.Sub(last) < timeout/32 {
+				t.Fatalf("a new deadline %v after the last, want at least %v", dl.Sub(last), timeout/32)
+			}
+			windows++
+			last = dl
+		}
+		if windows < 4 {
+			t.Fatalf("%d deadline windows in a second, want 4", windows)
+		}
+	})
+
+	t.Run("reroute", func(t *testing.T) {
+		body := ownedModelBody(t, g, 0)
+		next := g.ring.Owner(mustModelKey(t, body), func(i int) bool { return i != 0 })
+		start := time.Now()
+		rec := c.do("POST", "/v1/model", body, "")
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Backend") != c.urls[next] {
+			t.Fatalf("stalled owner: status %d from %q, want 200 from the next owner %q",
+				rec.Code, rec.Header().Get("X-Backend"), c.urls[next])
+		}
+		if len(st.ended) != 1 {
+			t.Fatalf("%d stalled tries, want 1", len(st.ended))
+		}
+		if took := st.ended[0].Sub(start); took < timeout || took > timeout+timeout/32+slack {
+			t.Errorf("stalled try ended %v after the request, want %v to %v plus %v slack",
+				took, timeout, timeout+timeout/32, slack)
+		}
+		if snap := g.MetricsSnapshot(); snap.Rerouted != 1 {
+			t.Errorf("rerouted = %d, want 1", snap.Rerouted)
+		}
+	})
+
+	t.Run("all stalled", func(t *testing.T) {
+		st.mu.Lock()
+		for i := range c.urls {
+			st.stalled[fmt.Sprintf("replica-%d", i)] = true
+		}
+		st.mu.Unlock()
+		if rec := c.do("POST", "/v1/model", ownedModelBody(t, g, 1), ""); rec.Code != http.StatusBadGateway {
+			t.Errorf("every replica stalled: status %d, want 502", rec.Code)
+		}
+	})
+}
+
+// TestGateRedirectPassThrough pins that a replica's redirect is its
+// answer: the gate makes one upstream call and hands the client the
+// status and Location instead of following it.
+func TestGateRedirectPassThrough(t *testing.T) {
+	c := newInprocGate(t, 1)
+	const moved, target = "/v1/figures/moved.svg", "/v1/figures/example.svg"
+	replica := c.tr.handlers["replica-0"]
+	c.tr.handlers["replica-0"] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == moved {
+			http.Redirect(w, r, target, http.StatusTemporaryRedirect)
+			return
+		}
+		replica.ServeHTTP(w, r)
+	})
+	rec := c.do("GET", moved, "", "")
+	if rec.Code != http.StatusTemporaryRedirect || rec.Header().Get("Location") != target {
+		t.Errorf("status %d, Location %q; want %d, %q", rec.Code, rec.Header().Get("Location"),
+			http.StatusTemporaryRedirect, target)
+	}
+	if n := c.tr.calls.Load(); n != 1 {
+		t.Errorf("%d upstream calls, want 1", n)
+	}
+}
+
+// TestGateHeaderKeysCanonical guards first's contract: every header key
+// the gate looks up is already canonical, so a map lookup finds exactly
+// what http.Header.Get would.
+func TestGateHeaderKeysCanonical(t *testing.T) {
+	keys := append(replayedHeaders[:], "Accept", "If-None-Match", serve.TenantHeader, serve.DeadlineHeader)
+	for _, k := range keys {
+		if c := http.CanonicalHeaderKey(k); c != k {
+			t.Errorf("header key %q is read as %q but stored as %q", k, k, c)
+		}
 	}
 }

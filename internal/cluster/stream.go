@@ -232,7 +232,7 @@ func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *u
 	}()
 	var resp *http.Response
 	picked, err := g.failover(ctx, key, func(b *backend, ownerURL string) (err error) {
-		resp, err = g.client.Do(ureq.build(ctx, b, ownerURL))
+		resp, err = g.transport.RoundTrip(ureq.build(ctx, b, ownerURL))
 		return err
 	})
 	if err != nil {
@@ -240,8 +240,8 @@ func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *u
 		return
 	}
 	defer resp.Body.Close()
-	f.start(resp.StatusCode, resp.Header.Get("Content-Type"),
-		resp.Header.Get("Retry-After"), picked.url)
+	f.start(resp.StatusCode, first(resp.Header, "Content-Type"),
+		first(resp.Header, "Retry-After"), picked.url)
 	chunk := make([]byte, 4096)
 	for {
 		n, err := resp.Body.Read(chunk)

@@ -176,6 +176,19 @@ else
     fail=1
 fi
 
+# The gate hit path wall runs without -race, which would skip the
+# allocation floor: a repeat hit's allocs and bytes, the upstream request's
+# parity with http.NewRequestWithContext, the shared upstream deadline
+# (Timeout to Timeout+Timeout/32 per try, then the next replica), and a
+# replica's redirect passed through unfollowed. Named so a failure is
+# attributed immediately.
+echo "== gate hit path wall =="
+if go test ./internal/cluster -run 'TestGateHitAllocs|TestGateUpstreamRequestParity|TestGateFetchDeadline|TestGateRedirectPassThrough' -count=1; then
+    echo "ok"
+else
+    fail=1
+fi
+
 # The serve-layer bugfix regressions (If-None-Match list matching, flight
 # waiter cancellation, recorder panic recycling) ride the same wall. The
 # flight waiter unit tests live with the shared singleflight in
